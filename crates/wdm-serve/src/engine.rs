@@ -16,6 +16,15 @@
 //! retry-after hint of one slot (queues drain fully every slot, so the
 //! hint is exact, not heuristic).
 //!
+//! Replies are mapped back to their `(conn, id)` tags in O(1) per verdict
+//! through channel uniqueness: source-side admission lets at most one
+//! request per input channel (`src_fiber`, `src_wavelength`) through each
+//! slot, and always the first one in batch order. A table of the first
+//! batch entry on every channel therefore names the entry behind each
+//! grant and each contention loss — even when the batch holds identical
+//! requests from different clients — and the source-busy denies, which the
+//! engine emits in batch order, take the remaining entries in order.
+//!
 //! At steady state (queues and scratch buffers grown to their working
 //! sizes, trace recording off) [`SlotEngine::run_slot`] performs zero heap
 //! allocations — pinned by the `wdm-alloc-count` regression.
@@ -182,11 +191,15 @@ pub struct SlotEngine {
     queues: ShardQueues<Tagged>,
     // Per-slot scratch, reused across slots (zero allocations at steady
     // state): the drained batch, its (conn, id) tags, the engine result,
-    // and the consumed flags used to map grants back to tags.
+    // and the flags marking batch entries the engine admitted.
     batch: Vec<ConnectionRequest>,
     tags: Vec<(u64, u64)>,
     result: SlotResult,
-    consumed: Vec<bool>,
+    admitted: Vec<bool>,
+    // The first batch entry on each input channel (`src_fiber * k +
+    // src_wavelength`), or `NO_ENTRY`. Sized `n * k` at construction;
+    // only the entries this slot's batch touched are reset after it.
+    first_on_channel: Vec<usize>,
     // Admitted-but-not-yet-activated reservations. An entry leaves the
     // map exactly once — at activation (grant or expiry), at an
     // owner-checked release, or when a fiber outage cancels the booking
@@ -242,7 +255,8 @@ impl SlotEngine {
             batch: Vec::new(),
             tags: Vec::new(),
             result: SlotResult::default(),
-            consumed: Vec::new(),
+            admitted: Vec::new(),
+            first_on_channel: vec![NO_ENTRY; config.n * k],
             holds: Vec::new(),
             trace,
         })
@@ -416,23 +430,30 @@ impl SlotEngine {
     /// one [`Reply`] per drained request to `out` — grants first in
     /// per-slot sequence order (activated reservations lead the stream),
     /// then denies in engine rejection order, then reservation expiries.
+    /// Each verdict maps back to its batch entry in O(1) (see the module
+    /// docs).
     #[hot_path]
     #[panic_free]
     pub fn run_slot(&mut self, out: &mut Vec<Reply>) -> SlotSummary {
         let slot = self.engine.slot();
+        let k = self.engine.k();
         self.batch.clear();
         self.tags.clear();
-        let SlotEngine { queues, batch, tags, .. } = self;
-        queues.drain_into(|t| {
-            batch.push(t.request);
-            tags.push((t.conn, t.id));
+        self.queues.drain_into(|t| {
+            if let Some(first) = self.first_on_channel.get_mut(input_channel(&t.request, k)) {
+                if *first == NO_ENTRY {
+                    *first = self.batch.len();
+                }
+            }
+            self.batch.push(t.request);
+            self.tags.push((t.conn, t.id));
         });
         expect_invariant(
             self.engine.advance_slot_into(&self.batch, &mut self.result),
             "submit() validated every queued request",
         );
-        self.consumed.clear();
-        self.consumed.resize(self.batch.len(), false);
+        self.admitted.clear();
+        self.admitted.resize(self.batch.len(), false);
         // Activated reservations lead the grant stream: under the default
         // ReservedFirst preemption they were scheduled first, and keeping
         // one fixed stream order makes replays deterministic either way.
@@ -453,7 +474,12 @@ impl SlotEngine {
         }
         let mut grants = 0usize;
         for (seq, g) in self.result.grants.iter().enumerate() {
-            let (conn, id) = claim_tag(&self.batch, &mut self.consumed, &self.tags, &g.request);
+            let (conn, id) = expect_invariant(
+                admitted_entry(&self.first_on_channel, &mut self.admitted, &g.request, k)
+                    .and_then(|j| tag_of(&self.batch, &self.tags, j, &g.request))
+                    .ok_or(()),
+                "a grant answers the admitted first entry on its input channel",
+            );
             let output_wavelength = expect_invariant(
                 u32::try_from(g.output_wavelength),
                 "k fits in u32 (checked at construction)",
@@ -469,13 +495,30 @@ impl SlotEngine {
             });
             grants += 1;
         }
+        // Contention losers were admitted too; mark them before the
+        // source-busy cursor walks the batch.
+        for r in &self.result.rejections {
+            if r.reason == RejectReason::OutputContention {
+                let _entry =
+                    admitted_entry(&self.first_on_channel, &mut self.admitted, &r.request, k);
+            }
+        }
+        let mut cursor = 0usize;
         let mut denies = 0usize;
         for r in &self.result.rejections {
-            let (conn, id) = claim_tag(&self.batch, &mut self.consumed, &self.tags, &r.request);
-            let reason = match r.reason {
-                RejectReason::SourceBusy => DenyReason::SourceBusy,
-                RejectReason::OutputContention => DenyReason::OutputContention,
+            let (entry, reason) = match r.reason {
+                RejectReason::SourceBusy => {
+                    (next_not_admitted(&self.admitted, &mut cursor), DenyReason::SourceBusy)
+                }
+                RejectReason::OutputContention => (
+                    admitted_entry(&self.first_on_channel, &mut self.admitted, &r.request, k),
+                    DenyReason::OutputContention,
+                ),
             };
+            let (conn, id) = expect_invariant(
+                entry.and_then(|j| tag_of(&self.batch, &self.tags, j, &r.request)).ok_or(()),
+                "every rejection answers one batch entry",
+            );
             out.push(Reply {
                 conn,
                 id,
@@ -483,6 +526,11 @@ impl SlotEngine {
                 verdict: Verdict::Denied { reason, retry_after_slots: 1 },
             });
             denies += 1;
+        }
+        for r in &self.batch {
+            if let Some(first) = self.first_on_channel.get_mut(input_channel(r, k)) {
+                *first = NO_ENTRY;
+            }
         }
         // Reservations that reached their start slot but could not
         // activate expire terminally — the ledger never retries them.
@@ -617,26 +665,51 @@ fn claim_hold(holds: &mut Vec<Hold>, reservation: u64) -> (u64, u64) {
     (hold.conn, hold.id)
 }
 
-/// Maps an engine grant/rejection back to the (conn, id) tag of the first
-/// unconsumed batch entry carrying the same request. Exhaustive: the engine
-/// answers every admitted request exactly once per slot.
-#[allow_reach(
-    panic_free,
-    reason = "consumed and tags are resized to batch.len() every slot and the engine answers every admitted request exactly once; an unmatched reply is unrecoverable state corruption"
-)]
-fn claim_tag(
-    batch: &[ConnectionRequest],
-    consumed: &mut [bool],
-    tags: &[(u64, u64)],
+/// Marks "no batch entry on this input channel" in
+/// [`SlotEngine`]'s `first_on_channel` table.
+const NO_ENTRY: usize = usize::MAX;
+
+/// The index of `request`'s input channel in the `n * k` channel table.
+fn input_channel(request: &ConnectionRequest, k: usize) -> usize {
+    request.src_fiber * k + request.src_wavelength
+}
+
+/// The batch entry an engine grant or contention loss answers — the first
+/// entry on the request's input channel, the only one source-side admission
+/// lets through — marked admitted. `None` only if the engine answered a
+/// channel the batch never used.
+fn admitted_entry(
+    first_on_channel: &[usize],
+    admitted: &mut [bool],
     request: &ConnectionRequest,
-) -> (u64, u64) {
-    for (j, b) in batch.iter().enumerate() {
-        if !consumed[j] && b == request {
-            consumed[j] = true;
-            return tags[j];
-        }
+    k: usize,
+) -> Option<usize> {
+    let entry = *first_on_channel.get(input_channel(request, k))?;
+    *admitted.get_mut(entry)? = true;
+    Some(entry)
+}
+
+/// The next batch entry at or after `cursor` that the engine did not
+/// admit; advances the cursor past it. Source-busy denies arrive in batch
+/// order, so successive calls hand them their entries in order.
+fn next_not_admitted(admitted: &[bool], cursor: &mut usize) -> Option<usize> {
+    while *admitted.get(*cursor)? {
+        *cursor += 1;
     }
-    unreachable!("engine replied to a request that was never admitted")
+    let entry = *cursor;
+    *cursor += 1;
+    Some(entry)
+}
+
+/// The (conn, id) tag of batch entry `entry`, which carries `request`.
+fn tag_of(
+    batch: &[ConnectionRequest],
+    tags: &[(u64, u64)],
+    entry: usize,
+    request: &ConnectionRequest,
+) -> Option<(u64, u64)> {
+    debug_assert_eq!(batch.get(entry), Some(request), "verdict mapped to another request");
+    tags.get(entry).copied()
 }
 
 #[cfg(test)]
@@ -937,5 +1010,220 @@ mod tests {
             .collect();
         assert_eq!(seqs, vec![0, 1, 2]);
         assert!(out.iter().all(|r| r.slot == 0));
+    }
+
+    #[test]
+    fn duplicate_requests_keep_their_own_deny_reasons() {
+        // Four λ0 requests toward fiber 0 reach only three output channels
+        // (circular d = 3), so one first copy loses contention; every
+        // second copy finds its input channel claimed by the first.
+        let conversion = Conversion::symmetric_circular(6, 3).unwrap();
+        let config = EngineConfig::new(4, conversion, Policy::Auto).with_queue_capacity(8);
+        let mut e = SlotEngine::new(config).unwrap();
+        let mut out = Vec::new();
+        for _slot in 0..2 {
+            for f in 0..4u32 {
+                assert!(e.submit(u64::from(f), req(u64::from(f), f, 0, 0, 1)).is_none());
+                assert!(e.submit(u64::from(f), req(10 + u64::from(f), f, 0, 0, 1)).is_none());
+            }
+            out.clear();
+            let s = e.run_slot(&mut out);
+            assert_eq!((s.grants, s.denies), (3, 5));
+            for r in &out {
+                let Verdict::Denied { reason, .. } = r.verdict else { continue };
+                let want =
+                    if r.id >= 10 { DenyReason::SourceBusy } else { DenyReason::OutputContention };
+                assert_eq!(reason, want, "slot {}: id {} got {reason:?}", r.slot, r.id);
+            }
+        }
+    }
+
+    mod reply_mapping {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::{HashMap, HashSet};
+        use wdm_scenario::{DisruptionChange, DisruptionEvent};
+
+        const N: u32 = 4;
+        const K: u32 = 6;
+        /// The connection reservations arrive on; cells use their source
+        /// fiber as the connection.
+        const RESV_CONN: u64 = 100;
+
+        #[derive(Debug, Clone)]
+        struct SlotEvents {
+            /// (src_fiber, src_wavelength, dst_fiber, duration).
+            cells: Vec<(u32, u32, u32, u32)>,
+            /// Cells (indexes mod len) submitted a second time, unchanged.
+            duplicates: Vec<usize>,
+            /// (src_fiber, src_wavelength, dst_fiber, lead, duration).
+            reservations: Vec<(u32, u32, u32, u32, u32)>,
+        }
+
+        #[derive(Debug, Clone)]
+        struct Case {
+            compete: bool,
+            /// (slot, fiber) of a fiber outage, when present.
+            outage: Option<(usize, usize)>,
+            slots: Vec<SlotEvents>,
+        }
+
+        fn case() -> impl Strategy<Value = Case> {
+            let cells = proptest::collection::vec((0..N, 0..K, 0..N, 1u32..4), 0..12);
+            let duplicates = proptest::collection::vec(0usize..12, 0..5);
+            let reservations =
+                proptest::collection::vec((0..N, 0..K, 0..N, 0u32..4, 1u32..4), 0..3);
+            let slot =
+                (cells, duplicates, reservations).prop_map(|(cells, duplicates, reservations)| {
+                    SlotEvents { cells, duplicates, reservations }
+                });
+            (
+                proptest::bool::ANY,
+                proptest::bool::ANY,
+                (0usize..10, 0..N as usize),
+                proptest::collection::vec(slot, 1..10),
+            )
+                .prop_map(|(compete, with_outage, outage, slots)| Case {
+                    compete,
+                    outage: with_outage.then_some(outage),
+                    slots,
+                })
+        }
+
+        /// Checks one slot's replies against the engine result they were
+        /// mapped from: grants carry the granted request, and the
+        /// source-busy denies are exactly the entries admission turned
+        /// away (all but the first entry on a channel, and every entry on
+        /// a channel nothing was admitted on).
+        fn check_slot(
+            e: &SlotEngine,
+            replies: &[Reply],
+            cells: &HashMap<(u64, u64), ConnectionRequest>,
+        ) {
+            let channel = |r: &ConnectionRequest| r.src_fiber * e.k() + r.src_wavelength;
+            let leading = e.result.reservation_grants.len();
+            for (i, g) in e.result.grants.iter().enumerate() {
+                let reply = replies[leading + i];
+                assert!(matches!(reply.verdict, Verdict::Granted { .. }), "{reply:?}");
+                assert_eq!(cells[&(reply.conn, reply.id)], g.request, "grant tag vs request");
+            }
+            let admitted_channels: HashSet<usize> = e
+                .result
+                .grants
+                .iter()
+                .map(|g| channel(&g.request))
+                .chain(
+                    e.result
+                        .rejections
+                        .iter()
+                        .filter(|r| r.reason == RejectReason::OutputContention)
+                        .map(|r| channel(&r.request)),
+                )
+                .collect();
+            let mut seen = HashSet::new();
+            let (mut want_admitted, mut want_busy) = (HashSet::new(), HashSet::new());
+            for (request, tag) in e.batch.iter().zip(&e.tags) {
+                let first = seen.insert(channel(request));
+                if first && admitted_channels.contains(&channel(request)) {
+                    want_admitted.insert(*tag);
+                } else {
+                    want_busy.insert(*tag);
+                }
+            }
+            let cell_replies = replies.iter().filter(|r| cells.contains_key(&(r.conn, r.id)));
+            let (mut got_admitted, mut got_busy) = (HashSet::new(), HashSet::new());
+            for r in cell_replies {
+                match r.verdict {
+                    Verdict::Denied { reason: DenyReason::SourceBusy, .. } => {
+                        got_busy.insert((r.conn, r.id))
+                    }
+                    _ => got_admitted.insert((r.conn, r.id)),
+                };
+            }
+            assert_eq!(got_busy, want_busy, "source-busy denies go to unadmitted entries");
+            assert_eq!(got_admitted, want_admitted, "admitted entries get grant/contention");
+        }
+
+        fn run_case(case: &Case) {
+            let conversion = Conversion::symmetric_circular(K as usize, 3).unwrap();
+            let preemption = if case.compete {
+                PreemptionPolicy::Compete
+            } else {
+                PreemptionPolicy::ReservedFirst
+            };
+            let config = EngineConfig::new(N as usize, conversion, Policy::Auto)
+                .with_queue_capacity(64)
+                .with_preemption(preemption);
+            let mut e = SlotEngine::new(config).unwrap();
+            let mut cells: HashMap<(u64, u64), ConnectionRequest> = HashMap::new();
+            let mut holds: HashSet<(u64, u64)> = HashSet::new();
+            let mut answers: HashMap<(u64, u64), usize> = HashMap::new();
+            let mut next_id = 0u64;
+            let mut out = Vec::new();
+            let quiet =
+                SlotEvents { cells: Vec::new(), duplicates: Vec::new(), reservations: Vec::new() };
+            // Trailing quiet slots let every reservation reach its start.
+            let slots = case.slots.iter().chain(std::iter::repeat_n(&quiet, 6));
+            for (slot, events) in slots.enumerate() {
+                for &(src, w, dst, lead, duration) in &events.reservations {
+                    next_id += 1;
+                    let request = ReserveRequest {
+                        id: next_id,
+                        src_fiber: src,
+                        src_wavelength: w,
+                        dst_fiber: dst,
+                        start_in: lead,
+                        duration,
+                    };
+                    if let Verdict::Reserved { .. } = e.reserve(RESV_CONN, request).verdict {
+                        holds.insert((RESV_CONN, next_id));
+                    }
+                }
+                let copies = events
+                    .duplicates
+                    .iter()
+                    .filter_map(|&i| events.cells.get(i % events.cells.len().max(1)));
+                for &(src, w, dst, duration) in events.cells.iter().chain(copies) {
+                    next_id += 1;
+                    let conn = u64::from(src);
+                    assert!(e.submit(conn, req(next_id, src, w, dst, duration)).is_none());
+                    let request = ConnectionRequest {
+                        src_fiber: src as usize,
+                        src_wavelength: w as usize,
+                        dst_fiber: dst as usize,
+                        duration,
+                    };
+                    cells.insert((conn, next_id), request);
+                }
+                out.clear();
+                if case.outage.is_some_and(|(at, _)| at == slot) {
+                    let fiber = case.outage.map_or(0, |(_, f)| f);
+                    let event =
+                        DisruptionEvent { slot: e.slot(), fiber, change: DisruptionChange::Outage };
+                    let _impact = e.apply_disruption(&event, &mut out).unwrap();
+                }
+                let cancelled = out.len();
+                let _summary = e.run_slot(&mut out);
+                check_slot(&e, &out[cancelled..], &cells);
+                for r in &out {
+                    let key = (r.conn, r.id);
+                    assert!(cells.contains_key(&key) || holds.contains(&key), "stray {r:?}");
+                    *answers.entry(key).or_default() += 1;
+                }
+            }
+            assert_eq!(e.pending_reservations(), 0, "every reservation reached its start");
+            for key in cells.keys().chain(&holds) {
+                assert_eq!(answers.get(key), Some(&1), "{key:?} answered exactly once");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn every_reply_maps_to_its_own_batch_entry(case in case()) {
+                run_case(&case);
+            }
+        }
     }
 }

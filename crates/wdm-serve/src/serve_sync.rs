@@ -8,7 +8,9 @@
 //! * [`bounded`] — the bounded blocking channel (`sync_channel` semantics)
 //!   used for both the reader→coordinator intake hand-off and the
 //!   everyone→results event stream. Backpressure is the bound: a flooding
-//!   client stalls its own reader, never the daemon's memory;
+//!   client stalls its own reader, never the daemon's memory. The batch
+//!   pair [`Sender::send_all`] / [`Receiver::drain_into`] moves a whole
+//!   slot's events with one lock acquisition and one wake-up per side;
 //! * [`StopFlag`] — the accept-gate the coordinator raises at shutdown;
 //! * [`SlotSequence`] — the published-slot counter proving per-slot
 //!   sequence monotonicity between the coordinator (publisher) and the
@@ -146,6 +148,37 @@ impl<T> Sender<T> {
         self.chan.not_empty.notify_all();
         Ok(())
     }
+
+    /// Blocking batch send: enqueues every value in order under one lock
+    /// acquisition and wakes the receiver once, instead of paying a lock
+    /// and a wake-up per value. The iterator runs with the lock held, so
+    /// it must be cheap and must not touch another channel.
+    ///
+    /// A batch larger than the free space does not deadlock: before
+    /// waiting for room, the sender wakes the receiver for what is already
+    /// queued (the wait releases the lock, so the receiver can drain).
+    /// Fails — returning the first undelivered value — once the receiver
+    /// is gone; values the iterator has not yet produced are dropped with
+    /// it.
+    pub fn send_all<I: IntoIterator<Item = T>>(&self, values: I) -> Result<(), SendError<T>> {
+        let mut state = lock(&self.chan.state);
+        for value in values {
+            while state.rx_alive && state.queue.len() >= self.chan.cap {
+                self.chan.not_empty.notify_all();
+                state = self
+                    .chan
+                    .not_full
+                    .wait(state)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+            }
+            if !state.rx_alive {
+                return Err(SendError(value));
+            }
+            state.queue.push_back(value);
+        }
+        self.chan.not_empty.notify_all();
+        Ok(())
+    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -204,6 +237,32 @@ impl<T> Receiver<T> {
             return Err(TryRecvError::Disconnected);
         }
         Err(TryRecvError::Empty)
+    }
+
+    /// Non-blocking batch receive: moves everything queued onto the back
+    /// of `local`, in order, under one lock acquisition, and wakes blocked
+    /// senders once. Returns how many values moved. Like
+    /// [`Receiver::try_recv`], it reports [`TryRecvError::Disconnected`]
+    /// only once the queue is empty and every sender is gone.
+    pub fn drain_into(&self, local: &mut VecDeque<T>) -> Result<usize, TryRecvError> {
+        let mut state = lock(&self.chan.state);
+        let moved = state.queue.len();
+        if moved == 0 {
+            return Err(if state.senders == 0 {
+                TryRecvError::Disconnected
+            } else {
+                TryRecvError::Empty
+            });
+        }
+        if local.is_empty() {
+            // Hand over the whole buffer: O(1), and both sides keep the
+            // capacity they have grown.
+            std::mem::swap(local, &mut state.queue);
+        } else {
+            local.append(&mut state.queue);
+        }
+        self.chan.not_full.notify_all();
+        Ok(moved)
     }
 
     /// Receive with a deadline, for the coordinator's slot-boundary intake
@@ -422,6 +481,7 @@ mod tests {
         bounded, AdmitRejection, RecvTimeoutError, ShardQueues, SlotSequence, StopFlag,
         TryRecvError,
     };
+    use std::collections::VecDeque;
     use std::time::Duration;
 
     #[test]
@@ -495,6 +555,77 @@ mod tests {
         drop(tx2);
         assert_eq!(rx.recv(), Ok(3));
         assert!(rx.recv().is_err());
+    }
+
+    #[test]
+    fn send_all_keeps_order_and_drain_into_moves_everything() {
+        let (tx, rx) = bounded::<u32>(8);
+        tx.send(1).unwrap();
+        tx.send_all([2, 3, 4]).unwrap();
+        let mut local = VecDeque::from([0]);
+        assert_eq!(rx.drain_into(&mut local), Ok(4));
+        assert_eq!(local, [0, 1, 2, 3, 4], "appended after what was already local");
+        assert_eq!(rx.drain_into(&mut local), Err(TryRecvError::Empty));
+        tx.send_all(5..7).unwrap();
+        let mut fresh = VecDeque::new();
+        assert_eq!(rx.drain_into(&mut fresh), Ok(2));
+        assert_eq!(fresh, [5, 6]);
+    }
+
+    #[test]
+    fn send_all_blocks_mid_batch_and_resumes_as_the_queue_drains() {
+        let (tx, rx) = bounded::<u32>(2);
+        let sender = std::thread::spawn(move || tx.send_all(0..7));
+        let mut local = VecDeque::new();
+        let mut received = Vec::new();
+        while received.len() < 7 {
+            match rx.drain_into(&mut local) {
+                Ok(moved) => assert!(moved <= 2, "never more than the capacity queued"),
+                Err(TryRecvError::Empty) => match rx.recv() {
+                    Ok(v) => local.push_back(v),
+                    Err(e) => panic!("sender alive until the batch is sent: {e:?}"),
+                },
+                Err(TryRecvError::Disconnected) => panic!("disconnected before the batch ended"),
+            }
+            received.extend(local.drain(..));
+        }
+        assert_eq!(received, (0..7).collect::<Vec<_>>(), "a batch over capacity arrives in order");
+        assert_eq!(sender.join().unwrap(), Ok(()));
+        assert_eq!(rx.drain_into(&mut local), Err(TryRecvError::Disconnected));
+    }
+
+    #[test]
+    fn send_all_returns_the_unsent_value_once_the_receiver_drops() {
+        let (tx, rx) = bounded::<u32>(2);
+        // The iterator reports reaching 12: 10 and 11 fill the queue, so
+        // the sender is about to wait for room that never comes.
+        let (reached_tx, reached_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        let values = [10, 11, 12, 13].into_iter().inspect(move |&v| {
+            if v == 12 {
+                reached_tx.send(()).unwrap();
+            }
+        });
+        let sender = std::thread::spawn(move || tx.send_all(values));
+        reached_rx.recv().unwrap();
+        drop(rx);
+        let err = sender.join().unwrap().unwrap_err();
+        assert_eq!(err.0, 12, "the first value that found no room comes back");
+
+        let (tx, rx) = bounded::<u32>(4);
+        drop(rx);
+        assert_eq!(tx.send_all([1, 2]).unwrap_err().0, 1);
+    }
+
+    #[test]
+    fn drain_into_reports_disconnected_only_after_the_queue_is_empty() {
+        let (tx, rx) = bounded::<u32>(4);
+        tx.send_all([1, 2]).unwrap();
+        drop(tx);
+        let mut local = VecDeque::new();
+        assert_eq!(rx.drain_into(&mut local), Ok(2), "queued values outlive the senders");
+        assert_eq!(local, [1, 2]);
+        assert_eq!(rx.drain_into(&mut local), Err(TryRecvError::Disconnected));
+        assert_eq!(local, [1, 2], "a failed drain leaves the local queue untouched");
     }
 
     #[test]

@@ -13,11 +13,15 @@
 //! * **coordinator** (the [`Server::run`] thread) — drains intake until the
 //!   slot boundary, ticks the [`crate::SlotClock`], runs
 //!   [`SlotEngine::run_slot`], publishes the slot to the shared
-//!   [`SlotSequence`], and hands the reply stream to the results thread;
-//! * **results** — owns every connection's buffered write half, encodes
-//!   grant/deny frames, broadcasts SLOT_COMPLETE (confirming each slot
-//!   against the [`SlotSequence`]), and flushes whenever its queue goes
-//!   momentarily empty (prompt when quiet, batched under load).
+//!   [`SlotSequence`], and hands the slot's replies plus its `SlotDone` to
+//!   the results thread as one batch ([`Sender::send_all`]: one lock
+//!   acquisition and one wake-up per slot, not per reply);
+//! * **results** — owns every connection's buffered write half, moves
+//!   everything queued into a local queue in one lock acquisition
+//!   ([`Receiver::drain_into`]), encodes grant/deny frames, broadcasts
+//!   SLOT_COMPLETE (confirming each slot against the [`SlotSequence`]),
+//!   and flushes whenever the channel goes empty. Slots arrive whole, so
+//!   that is one flush per slot: prompt when quiet, batched under load.
 //!
 //! Every cross-thread structure here comes from [`crate::serve_sync`],
 //! whose loom model (`tests/loom_serve.rs`) exhaustively checks the
@@ -26,6 +30,7 @@
 //! the configured `max_slots` stops the loop after the in-flight slot, and
 //! queued requests are answered before the sockets close.
 
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -237,9 +242,7 @@ impl Server {
                 continue;
             }
 
-            // 2. The slot: drain shards, schedule, stream replies. The slot
-            // is published to the shared sequence *before* its SlotDone
-            // event is enqueued (the results thread confirms the order).
+            // 2. The slot: drain shards, schedule, hand the replies over.
             // Scenario disruptions and fallback decisions land first, so a
             // failure planned for slot s is in force when s is scheduled;
             // replies to outage-cancelled reservations lead the stream.
@@ -252,11 +255,16 @@ impl Server {
             report.denies += summary.denies as u64;
             report.reservation_grants += summary.reservation_grants as u64;
             report.reservation_expiries += summary.reservation_expiries as u64;
-            for r in &out {
-                send_out(&out_tx, OutEvent::Reply(*r))?;
-            }
+            // The slot is published to the shared sequence *before* its
+            // SlotDone is enqueued (the results thread confirms the order),
+            // then the replies and SlotDone travel as one batch: one lock,
+            // one wake-up of the results thread per slot.
             slot_seq.publish(summary.slot);
-            send_out(&out_tx, OutEvent::SlotDone { slot: summary.slot })?;
+            let slot_events = out
+                .iter()
+                .map(|r| OutEvent::Reply(*r))
+                .chain(std::iter::once(OutEvent::SlotDone { slot: summary.slot }));
+            out_tx.send_all(slot_events).map_err(|_| ProtocolError::Disconnected)?;
             report.slots += 1;
 
             if stop && engine.pending() == 0 {
@@ -487,77 +495,89 @@ fn reader_loop(conn: u64, stream: TcpStream, in_tx: &Sender<InEvent>, out_tx: &S
 fn results_loop(out_rx: &Receiver<OutEvent>, hello: &HelloInfo, slot_seq: &SlotSequence) {
     // Connection ids are dense and small; a Vec doubles as the map.
     let mut writers: Vec<Option<std::io::BufWriter<TcpStream>>> = Vec::new();
+    // Everything queued moves here in one lock acquisition; a slot's
+    // replies and its SlotDone arrive together (the coordinator's
+    // `send_all`).
+    let mut events: VecDeque<OutEvent> = VecDeque::new();
     let mut dirty = false;
     loop {
-        // Flush-on-quiet: batch while the queue has depth, flush the moment
-        // it empties so a lone reply never waits for the next slot.
-        let ev = match out_rx.try_recv() {
-            Ok(ev) => ev,
+        // Flush-on-quiet: write everything queued, flush once the channel
+        // is empty. Slots arrive whole, so that is one flush per slot, and
+        // a lone reply never waits for the next slot.
+        match out_rx.drain_into(&mut events) {
+            Ok(_) => {}
             Err(TryRecvError::Empty) => {
                 if dirty {
                     flush_all(&mut writers);
                     dirty = false;
                 }
                 match out_rx.recv() {
-                    Ok(ev) => ev,
+                    Ok(ev) => events.push_back(ev),
                     Err(_) => return,
                 }
             }
             Err(TryRecvError::Disconnected) => return,
-        };
-        match ev {
-            OutEvent::Register { conn, stream } => {
-                let idx = conn as usize;
-                if writers.len() <= idx {
-                    writers.resize_with(idx + 1, || None);
+        }
+        while let Some(ev) = events.pop_front() {
+            match ev {
+                OutEvent::Register { conn, stream } => {
+                    let idx = conn as usize;
+                    if writers.len() <= idx {
+                        writers.resize_with(idx + 1, || None);
+                    }
+                    writers[idx] = Some(std::io::BufWriter::new(stream));
                 }
-                writers[idx] = Some(std::io::BufWriter::new(stream));
-            }
-            OutEvent::HelloOk { conn } => {
-                let ack = Frame::HelloAck {
-                    version: PROTOCOL_VERSION,
-                    n: hello.n,
-                    k: hello.k,
-                    policy: hello.policy.clone(),
-                };
-                send_to(&mut writers, conn, &ack);
-                dirty = true;
-            }
-            OutEvent::Fatal { conn, code, message } => {
-                send_to(&mut writers, conn, &Frame::Error { code, message });
-                close_conn(&mut writers, conn);
-            }
-            OutEvent::Reply(reply) => {
-                let frame = match reply.verdict {
-                    Verdict::Granted { seq, output_wavelength } => {
-                        Frame::Grant { slot: reply.slot, seq, id: reply.id, output_wavelength }
-                    }
-                    Verdict::Denied { reason, retry_after_slots } => {
-                        Frame::Deny { slot: reply.slot, id: reply.id, reason, retry_after_slots }
-                    }
-                    Verdict::Reserved { reservation, start_slot } => {
-                        Frame::ReserveAck { id: reply.id, reservation_id: reservation, start_slot }
-                    }
-                };
-                send_to(&mut writers, reply.conn, &frame);
-                dirty = true;
-            }
-            OutEvent::SlotDone { slot } => {
-                // Publish-before-notify: the coordinator published this
-                // slot before enqueuing the event.
-                slot_seq.confirm(slot);
-                for conn in 0..writers.len() as u64 {
-                    send_to(&mut writers, conn, &Frame::SlotComplete { slot });
+                OutEvent::HelloOk { conn } => {
+                    let ack = Frame::HelloAck {
+                        version: PROTOCOL_VERSION,
+                        n: hello.n,
+                        k: hello.k,
+                        policy: hello.policy.clone(),
+                    };
+                    send_to(&mut writers, conn, &ack);
+                    dirty = true;
                 }
-                dirty = true;
-            }
-            OutEvent::Close { conn } => close_conn(&mut writers, conn),
-            OutEvent::Finish => {
-                flush_all(&mut writers);
-                for conn in 0..writers.len() as u64 {
+                OutEvent::Fatal { conn, code, message } => {
+                    send_to(&mut writers, conn, &Frame::Error { code, message });
                     close_conn(&mut writers, conn);
                 }
-                return;
+                OutEvent::Reply(reply) => {
+                    let frame = match reply.verdict {
+                        Verdict::Granted { seq, output_wavelength } => {
+                            Frame::Grant { slot: reply.slot, seq, id: reply.id, output_wavelength }
+                        }
+                        Verdict::Denied { reason, retry_after_slots } => Frame::Deny {
+                            slot: reply.slot,
+                            id: reply.id,
+                            reason,
+                            retry_after_slots,
+                        },
+                        Verdict::Reserved { reservation, start_slot } => Frame::ReserveAck {
+                            id: reply.id,
+                            reservation_id: reservation,
+                            start_slot,
+                        },
+                    };
+                    send_to(&mut writers, reply.conn, &frame);
+                    dirty = true;
+                }
+                OutEvent::SlotDone { slot } => {
+                    // Publish-before-notify: the coordinator published this
+                    // slot before enqueuing the event.
+                    slot_seq.confirm(slot);
+                    for conn in 0..writers.len() as u64 {
+                        send_to(&mut writers, conn, &Frame::SlotComplete { slot });
+                    }
+                    dirty = true;
+                }
+                OutEvent::Close { conn } => close_conn(&mut writers, conn),
+                OutEvent::Finish => {
+                    flush_all(&mut writers);
+                    for conn in 0..writers.len() as u64 {
+                        close_conn(&mut writers, conn);
+                    }
+                    return;
+                }
             }
         }
     }

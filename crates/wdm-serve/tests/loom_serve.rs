@@ -31,9 +31,12 @@
 
 #![cfg(loom)]
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use wdm_serve::serve_sync::{self, AdmitRejection, ShardQueues, SlotSequence, StopFlag};
+use wdm_serve::serve_sync::{
+    self, AdmitRejection, ShardQueues, SlotSequence, StopFlag, TryRecvError,
+};
 
 /// A submitted request: (reader id, request id, destination shard).
 #[derive(Debug, Clone, Copy)]
@@ -71,9 +74,10 @@ struct ResultsLog {
 }
 
 /// The coordinator's slot step: drain the shard queues into a batch and
-/// answer every drained request as granted, publish the slot, notify.
-/// Mirrors `SlotEngine::run_slot` + the `Server::run` slot section with
-/// the scheduling core stubbed to "grant everything drained".
+/// answer every drained request as granted, publish the slot, then hand
+/// the replies plus `SlotDone` over in one `send_all`. Mirrors
+/// `SlotEngine::run_slot` + the `Server::run` slot section with the
+/// scheduling core stubbed to "grant everything drained".
 fn run_slot(
     queues: &mut ShardQueues<Submit>,
     slot: u64,
@@ -82,39 +86,48 @@ fn run_slot(
 ) {
     let mut batch = Vec::new();
     queues.drain_into(|s| batch.push(s));
-    for s in &batch {
-        out_tx
-            .send(OutEvent::Reply { id: s.id, slot, granted: true })
-            .expect("results thread lives until the sender side is dropped");
-    }
     seq.publish(slot);
-    out_tx
-        .send(OutEvent::SlotDone { slot })
-        .expect("results thread lives until the sender side is dropped");
+    let events = batch
+        .iter()
+        .map(|s| OutEvent::Reply { id: s.id, slot, granted: true })
+        .chain(std::iter::once(OutEvent::SlotDone { slot }));
+    out_tx.send_all(events).expect("results thread lives until the sender side is dropped");
 }
 
-/// The results thread: drains the out channel until disconnect, logging
-/// replies and confirming every SlotDone against the shared sequence.
+/// The results thread: moves everything queued into a local queue with
+/// `drain_into` (blocking in `recv` only when the channel is empty, where
+/// the daemon flushes) until disconnect, logging replies and confirming
+/// every SlotDone against the shared sequence.
 fn results_loop(out_rx: &serve_sync::Receiver<OutEvent>, seq: &SlotSequence) -> ResultsLog {
     let mut log = ResultsLog::default();
-    while let Ok(ev) = out_rx.recv() {
-        match ev {
-            OutEvent::Reply { id, slot, granted } => {
-                if log.done_slots.iter().any(|d| *d >= slot) {
-                    log.replies_after_own_slot_done += 1;
+    let mut events = VecDeque::new();
+    loop {
+        match out_rx.drain_into(&mut events) {
+            Ok(_) => {}
+            Err(TryRecvError::Empty) => match out_rx.recv() {
+                Ok(ev) => events.push_back(ev),
+                Err(_) => return log,
+            },
+            Err(TryRecvError::Disconnected) => return log,
+        }
+        while let Some(ev) = events.pop_front() {
+            match ev {
+                OutEvent::Reply { id, slot, granted } => {
+                    if log.done_slots.iter().any(|d| *d >= slot) {
+                        log.replies_after_own_slot_done += 1;
+                    }
+                    log.replies.push((id, slot, granted));
                 }
-                log.replies.push((id, slot, granted));
-            }
-            OutEvent::SlotDone { slot } => {
-                // Publish-before-notify in every interleaving.
-                seq.confirm(slot);
-                // Monotone-dense arrival order on the results side.
-                assert_eq!(slot, log.done_slots.len() as u64, "SlotDone out of order");
-                log.done_slots.push(slot);
+                OutEvent::SlotDone { slot } => {
+                    // Publish-before-notify in every interleaving.
+                    seq.confirm(slot);
+                    // Monotone-dense arrival order on the results side.
+                    assert_eq!(slot, log.done_slots.len() as u64, "SlotDone out of order");
+                    log.done_slots.push(slot);
+                }
             }
         }
     }
-    log
 }
 
 /// Checks a finished run: every id in `expected` answered exactly once
@@ -441,4 +454,49 @@ fn reserve_release_race_acked_exactly_once() {
     });
     eprintln!("loom_serve config E: {interleavings} interleavings");
     assert!(interleavings > 1000, "config E must be non-trivial, got {interleavings}");
+}
+
+/// Config F — a slot batch larger than the results channel: three replies
+/// plus `SlotDone` go through a capacity-2 results channel, so `send_all`
+/// must wake the results thread and block mid-batch, resuming as
+/// `drain_into` makes room. A reader racing the intake makes the slot's
+/// start vary too. In every interleaving: no deadlock, every reply
+/// answered once and in batch order, and every reply before its SlotDone.
+#[test]
+fn slot_batch_larger_than_results_capacity() {
+    let interleavings = loom::model(|| {
+        let seq = Arc::new(SlotSequence::new());
+        let (in_tx, in_rx) = serve_sync::bounded::<InEvent>(1);
+        let (out_tx, out_rx) = serve_sync::bounded::<OutEvent>(2);
+
+        let results = {
+            let seq = Arc::clone(&seq);
+            loom::thread::spawn(move || results_loop(&out_rx, &seq))
+        };
+        let reader = loom::thread::spawn(move || {
+            let batch = vec![
+                Submit { id: 1, shard: 0 },
+                Submit { id: 2, shard: 1 },
+                Submit { id: 3, shard: 0 },
+            ];
+            in_tx.send(InEvent::Batch(batch)).expect("coordinator outlives the reader");
+        });
+
+        let mut queues: ShardQueues<Submit> = ShardQueues::new(2, 4);
+        let Ok(InEvent::Batch(batch)) = in_rx.recv() else {
+            panic!("the reader sends exactly one batch")
+        };
+        for s in batch {
+            queues.try_admit(s.shard, s).expect("queues sized for the load");
+        }
+        run_slot(&mut queues, 0, &seq, &out_tx);
+        reader.join().expect("reader exits");
+        drop(out_tx);
+        let log = results.join().expect("results thread never panics");
+        check_log(&log, &[1, 2, 3], 1);
+        let order: Vec<u64> = log.replies.iter().map(|(id, _, _)| *id).collect();
+        assert_eq!(order, vec![1, 3, 2], "replies arrive in batch (shard, FIFO) order");
+    });
+    eprintln!("loom_serve config F: {interleavings} interleavings");
+    assert!(interleavings > 1000, "config F must be non-trivial, got {interleavings}");
 }

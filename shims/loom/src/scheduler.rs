@@ -221,10 +221,17 @@ impl Scheduler {
 ///
 /// The closure is `Fn` (not `FnOnce`) because it runs many times; shared
 /// state must be created *inside* it so every iteration starts fresh.
+///
+/// The scheduler is process-global, so concurrent `model` calls (the test
+/// harness runs tests on parallel threads) take turns: each holds a
+/// process-wide gate for its whole exploration.
 pub fn model<F>(f: F) -> u64
 where
     F: Fn() + Send + Sync + 'static,
 {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    assert!(SLOT.with(Cell::get).is_none(), "loom::model cannot be nested");
+    let _turn = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let sched = scheduler();
     {
         let mut st = sched.lock_state();
