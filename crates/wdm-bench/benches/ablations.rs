@@ -14,13 +14,27 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use wdm_bench::{bench_rng, random_request_vector};
 use wdm_core::algorithms::{
-    approx_schedule, break_fa_matching, break_fa_schedule, break_fa_schedule_with, BreakChoice,
+    approx_schedule_into, break_fa_matching, break_fa_schedule_into, BreakChoice,
 };
-use wdm_core::{ChannelMask, Conversion, RequestGraph, RequestVector};
+use wdm_core::{ChannelMask, Conversion, RequestGraph, RequestVector, ScratchArena};
 use wdm_hardware::BreakFaUnit;
 
 const K: usize = 64;
 const N: usize = 16;
+
+/// One Break-and-First-Available slot through a reused arena, as the
+/// production slot loop runs it; returns the grant count.
+fn bfa(
+    conv: &Conversion,
+    rv: &RequestVector,
+    mask: &ChannelMask,
+    scratch: &mut ScratchArena,
+    out: &mut Vec<wdm_core::algorithms::Assignment>,
+) -> usize {
+    break_fa_schedule_into(conv, rv, mask, BreakChoice::default(), scratch, out)
+        .expect("schedules");
+    black_box(out.len())
+}
 
 fn inputs() -> Vec<RequestVector> {
     let mut rng = bench_rng(0xAB1A);
@@ -36,11 +50,14 @@ fn bench_break_choice(c: &mut Criterion) {
         [("first_request", BreakChoice::FirstRequest), ("densest", BreakChoice::DensestWavelength)]
     {
         group.bench_with_input(BenchmarkId::from_parameter(label), &workloads, |b, ws| {
+            let (mut scratch, mut out) = (ScratchArena::for_k(K), Vec::new());
             let mut i = 0usize;
             b.iter(|| {
                 let rv = &ws[i % ws.len()];
                 i += 1;
-                black_box(break_fa_schedule_with(&conv, rv, &mask, choice).expect("schedules"))
+                break_fa_schedule_into(&conv, rv, &mask, choice, &mut scratch, &mut out)
+                    .expect("schedules");
+                black_box(out.len())
             });
         });
     }
@@ -55,11 +72,12 @@ fn bench_representation(c: &mut Criterion) {
         workloads.iter().map(|rv| RequestGraph::new(conv, rv).expect("valid")).collect();
     let mut group = c.benchmark_group("ablation_representation");
     group.bench_function("compact_vector", |b| {
+        let (mut scratch, mut out) = (ScratchArena::for_k(K), Vec::new());
         let mut i = 0usize;
         b.iter(|| {
             let rv = &workloads[i % workloads.len()];
             i += 1;
-            black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules"))
+            bfa(&conv, rv, &mask, &mut scratch, &mut out)
         });
     });
     group.bench_function("explicit_graph", |b| {
@@ -89,11 +107,12 @@ fn bench_hardware_vs_software(c: &mut Criterion) {
     let unit = BreakFaUnit::new(conv).expect("circular");
     let mut group = c.benchmark_group("ablation_hardware");
     group.bench_function("software_bfa", |b| {
+        let (mut scratch, mut out) = (ScratchArena::for_k(K), Vec::new());
         let mut i = 0usize;
         b.iter(|| {
             let rv = &workloads[i % workloads.len()];
             i += 1;
-            black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules"))
+            bfa(&conv, rv, &mask, &mut scratch, &mut out)
         });
     });
     group.bench_function("hardware_model_bfa", |b| {
@@ -114,19 +133,22 @@ fn bench_exact_vs_approx(c: &mut Criterion) {
     for d in [3usize, 9, 33] {
         let conv = Conversion::symmetric_circular(K, d).expect("valid");
         group.bench_with_input(BenchmarkId::new("exact_d", d), &workloads, |b, ws| {
+            let (mut scratch, mut out) = (ScratchArena::for_k(K), Vec::new());
             let mut i = 0usize;
             b.iter(|| {
                 let rv = &ws[i % ws.len()];
                 i += 1;
-                black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules"))
+                bfa(&conv, rv, &mask, &mut scratch, &mut out)
             });
         });
         group.bench_with_input(BenchmarkId::new("approx_d", d), &workloads, |b, ws| {
+            let (mut scratch, mut out) = (ScratchArena::for_k(K), Vec::new());
             let mut i = 0usize;
             b.iter(|| {
                 let rv = &ws[i % ws.len()];
                 i += 1;
-                black_box(approx_schedule(&conv, rv, &mask).expect("schedules"))
+                approx_schedule_into(&conv, rv, &mask, &mut scratch, &mut out).expect("schedules");
+                black_box(out.len())
             });
         });
     }

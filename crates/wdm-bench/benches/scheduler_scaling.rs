@@ -17,8 +17,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use wdm_bench::{bench_rng, random_request_vector};
-use wdm_core::algorithms::{approx_schedule, break_fa_schedule, fa_schedule, hopcroft_karp};
-use wdm_core::{ChannelMask, Conversion, RequestGraph, RequestVector};
+use wdm_core::algorithms::{
+    approx_schedule_into, break_fa_schedule_into, fa_schedule_into, hopcroft_karp, Assignment,
+    BreakChoice,
+};
+use wdm_core::{ChannelMask, Conversion, Error, RequestGraph, RequestVector, ScratchArena};
 
 const LOAD: f64 = 0.8;
 const N_FIBERS: usize = 16;
@@ -26,6 +29,27 @@ const N_FIBERS: usize = 16;
 fn workloads(k: usize, n: usize, count: usize) -> Vec<RequestVector> {
     let mut rng = bench_rng(0xC0FFEE ^ k as u64 ^ (n as u64) << 32);
     (0..count).map(|_| random_request_vector(&mut rng, n, k, LOAD)).collect()
+}
+
+/// Times `schedule` over `inputs` round-robin through one reused arena, as
+/// the production slot loop runs it.
+fn bench_slots<T>(
+    b: &mut criterion::Bencher,
+    inputs: &[RequestVector],
+    mut schedule: impl FnMut(
+        &RequestVector,
+        &mut ScratchArena,
+        &mut Vec<Assignment>,
+    ) -> Result<T, Error>,
+) {
+    let (mut scratch, mut out) = (ScratchArena::new(), Vec::new());
+    let mut i = 0usize;
+    b.iter(|| {
+        let rv = &inputs[i % inputs.len()];
+        i += 1;
+        schedule(rv, &mut scratch, &mut out).expect("schedules");
+        black_box(out.len())
+    });
 }
 
 fn bench_fa(c: &mut Criterion) {
@@ -36,12 +60,7 @@ fn bench_fa(c: &mut Criterion) {
         let inputs = workloads(k, N_FIBERS, 64);
         group.throughput(Throughput::Elements(k as u64));
         group.bench_with_input(BenchmarkId::new("k", k), &inputs, |b, inputs| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let rv = &inputs[i % inputs.len()];
-                i += 1;
-                black_box(fa_schedule(&conv, rv, &mask).expect("schedules"))
-            });
+            bench_slots(b, inputs, |rv, s, o| fa_schedule_into(&conv, rv, &mask, s, o));
         });
     }
     group.finish();
@@ -55,11 +74,8 @@ fn bench_bfa(c: &mut Criterion) {
         let inputs = workloads(k, N_FIBERS, 64);
         group.throughput(Throughput::Elements(k as u64));
         group.bench_with_input(BenchmarkId::new("k", k), &inputs, |b, inputs| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let rv = &inputs[i % inputs.len()];
-                i += 1;
-                black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules"))
+            bench_slots(b, inputs, |rv, s, o| {
+                break_fa_schedule_into(&conv, rv, &mask, BreakChoice::default(), s, o)
             });
         });
     }
@@ -73,11 +89,8 @@ fn bench_bfa(c: &mut Criterion) {
         let mask = ChannelMask::all_free(k);
         let inputs = workloads(k, N_FIBERS, 64);
         group.bench_with_input(BenchmarkId::new("d", d), &inputs, |b, inputs| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let rv = &inputs[i % inputs.len()];
-                i += 1;
-                black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules"))
+            bench_slots(b, inputs, |rv, s, o| {
+                break_fa_schedule_into(&conv, rv, &mask, BreakChoice::default(), s, o)
             });
         });
     }
@@ -91,12 +104,7 @@ fn bench_approx(c: &mut Criterion) {
         let mask = ChannelMask::all_free(k);
         let inputs = workloads(k, N_FIBERS, 64);
         group.bench_with_input(BenchmarkId::new("k", k), &inputs, |b, inputs| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let rv = &inputs[i % inputs.len()];
-                i += 1;
-                black_box(approx_schedule(&conv, rv, &mask).expect("schedules"))
-            });
+            bench_slots(b, inputs, |rv, s, o| approx_schedule_into(&conv, rv, &mask, s, o));
         });
     }
     group.finish();
@@ -155,7 +163,9 @@ fn bench_hopcroft_karp(c: &mut Criterion) {
             });
         });
         group.bench_with_input(BenchmarkId::new("bfa_N", n), &rv, |b, rv| {
-            b.iter(|| black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules")));
+            bench_slots(b, std::slice::from_ref(rv), |rv, s, o| {
+                break_fa_schedule_into(&conv, rv, &mask, BreakChoice::default(), s, o)
+            });
         });
     }
     group.finish();
@@ -173,11 +183,8 @@ fn bench_independence_of_n(c: &mut Criterion) {
     for n in [4usize, 16, 64, 256] {
         let inputs = workloads(k, n, 32);
         group.bench_with_input(BenchmarkId::new("N", n), &inputs, |b, inputs| {
-            let mut i = 0usize;
-            b.iter(|| {
-                let rv = &inputs[i % inputs.len()];
-                i += 1;
-                black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules"))
+            bench_slots(b, inputs, |rv, s, o| {
+                break_fa_schedule_into(&conv, rv, &mask, BreakChoice::default(), s, o)
             });
         });
     }
@@ -190,7 +197,9 @@ fn bench_independence_of_n(c: &mut Criterion) {
     for n in [4usize, 16, 64, 256] {
         let rv = RequestVector::from_counts(vec![n; k]).expect("valid");
         group.bench_with_input(BenchmarkId::new("N", n), &rv, |b, rv| {
-            b.iter(|| black_box(break_fa_schedule(&conv, rv, &mask).expect("schedules")));
+            bench_slots(b, std::slice::from_ref(rv), |rv, s, o| {
+                break_fa_schedule_into(&conv, rv, &mask, BreakChoice::default(), s, o)
+            });
         });
     }
     group.finish();

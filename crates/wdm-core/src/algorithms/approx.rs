@@ -22,12 +22,10 @@ use super::break_fa::single_break_into;
 use super::full_range::full_range_schedule_into;
 use super::Assignment;
 
-/// Result of the approximation scheduler.
-#[must_use]
-#[derive(Debug, Clone)]
-pub struct ApproxOutcome {
-    /// The granted assignments.
-    pub assignments: Vec<Assignment>,
+/// The scalar outcome of [`approx_schedule_into`]; the assignments live in
+/// the caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ApproxStats {
     /// `δ(u)` of the chosen breaking edge: the 1-based rank of the breaking
     /// channel within the breaking vertex's adjacency set, counted from the
     /// "minus" end.
@@ -37,45 +35,21 @@ pub struct ApproxOutcome {
     pub bound: usize,
 }
 
-/// The scalar part of an [`ApproxOutcome`], returned by the buffer-reusing
-/// [`approx_schedule_into`] (the assignments live in the caller's buffer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ApproxStats {
-    /// `δ(u)` of the chosen breaking edge (see [`ApproxOutcome::delta`]).
-    pub delta: usize,
-    /// Theorem 3's bound (see [`ApproxOutcome::bound`]).
-    pub bound: usize,
-}
-
 /// The `O(k)` single-break approximation scheduler for circular conversion.
 ///
 /// Breaks at the free adjacent channel minimizing `max(δ(u)−1, d−δ(u))`
 /// (the shortest edge when all channels are free and `e = f`), runs First
 /// Available once, and reports the achieved gap bound.
 ///
-/// Returns an empty schedule when there are no requests or no free adjacent
-/// channels; full-range conversion is dispatched to the trivial scheduler
-/// (with `bound = 0` — it is exact).
-///
-/// Paper: Theorem 3 and Corollary 1 (§IV-C, single-break approximation).
-pub fn approx_schedule(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<ApproxOutcome, Error> {
-    let mut scratch = ScratchArena::new();
-    let mut assignments = Vec::new();
-    let stats = approx_schedule_into(conv, requests, mask, &mut scratch, &mut assignments)?;
-    Ok(ApproxOutcome { assignments, delta: stats.delta, bound: stats.bound })
-}
-
-/// [`approx_schedule`] writing into caller-provided buffers.
-///
 /// `out` is cleared and receives the granted assignments (breaking edge
-/// included); the scalar δ and bound come back as [`ApproxStats`]. Once the
-/// buffers have reached steady-state capacity for the fiber's `k` the call
-/// performs zero heap allocations — this is the per-slot production path
-/// used by [`crate::FiberScheduler::schedule_slot`].
+/// included); the scalar δ and bound come back as [`ApproxStats`]. The
+/// schedule is empty when there are no requests or no free adjacent
+/// channels; full-range conversion is dispatched to the trivial scheduler
+/// (with `bound = 0` — it is exact). Once the buffers have reached
+/// steady-state capacity for the fiber's `k` the call performs zero heap
+/// allocations — this is the per-slot production path used by
+/// [`crate::FiberScheduler::schedule_slot`], which also certifies it
+/// ([`crate::FiberScheduler::schedule_slot_checked`]).
 ///
 /// Paper: Theorem 3 and Corollary 1 (§IV-C, single-break approximation).
 #[wdm_attr::allow_reach(
@@ -137,44 +111,21 @@ pub fn approx_schedule_into(
     Ok(ApproxStats { delta, bound })
 }
 
-/// [`approx_schedule`] with its certificate: the returned schedule is
-/// verified feasible and within the reported [`ApproxOutcome::bound`] of the
-/// maximum matching (Theorem 3 / Corollary 1), by comparison against a
-/// Hopcroft–Karp run.
-///
-/// Paper: Theorem 3 and Corollary 1 (§IV-C, single-break approximation).
-pub fn approx_schedule_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<ApproxOutcome, Error> {
-    let out = approx_schedule(conv, requests, mask)?;
-    crate::verify::certify_assignments_within(conv, requests, mask, &out.assignments, out.bound)?;
-    Ok(out)
-}
-
-/// [`approx_schedule_into`] with the Theorem 3 / Corollary 1 certificate.
-/// The certificate itself allocates (it runs the Hopcroft–Karp oracle); use
-/// the unchecked variant on the zero-allocation hot path.
-///
-/// Paper: Theorem 3 and Corollary 1 (§IV-C, single-break approximation).
-pub fn approx_schedule_into_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Assignment>,
-) -> Result<ApproxStats, Error> {
-    let stats = approx_schedule_into(conv, requests, mask, scratch, out)?;
-    crate::verify::certify_assignments_within(conv, requests, mask, out, stats.bound)?;
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{break_fa_schedule, kuhn, validate_assignments};
+    use crate::algorithms::{break_fa_schedule_into, kuhn, validate_assignments, BreakChoice};
     use crate::graph::RequestGraph;
+
+    fn approx(
+        conv: &Conversion,
+        rv: &RequestVector,
+        mask: &ChannelMask,
+    ) -> Result<(Vec<Assignment>, ApproxStats), Error> {
+        let mut out = Vec::new();
+        let stats = approx_schedule_into(conv, rv, mask, &mut ScratchArena::new(), &mut out)?;
+        Ok((out, stats))
+    }
 
     #[test]
     fn shortest_edge_chosen_when_symmetric() {
@@ -182,10 +133,10 @@ mod tests {
         let conv = Conversion::symmetric_circular(6, 3).unwrap();
         let rv = RequestVector::from_counts(vec![2, 1, 0, 1, 1, 2]).unwrap();
         let mask = ChannelMask::all_free(6);
-        let out = approx_schedule(&conv, &rv, &mask).unwrap();
+        let (assignments, out) = approx(&conv, &rv, &mask).unwrap();
         assert_eq!(out.delta, 2);
         assert_eq!(out.bound, 1, "Corollary 1: (d−1)/2 = 1 for d = 3");
-        validate_assignments(&conv, &rv, &mask, &out.assignments).unwrap();
+        validate_assignments(&conv, &rv, &mask, &assignments).unwrap();
     }
 
     #[test]
@@ -193,7 +144,7 @@ mod tests {
         let conv = Conversion::symmetric_circular(12, 5).unwrap();
         let rv = RequestVector::from_counts(vec![1; 12]).unwrap();
         let mask = ChannelMask::all_free(12);
-        let out = approx_schedule(&conv, &rv, &mask).unwrap();
+        let (_, out) = approx(&conv, &rv, &mask).unwrap();
         assert_eq!(out.bound, 2, "Corollary 1: (d−1)/2 = 2 for d = 5");
     }
 
@@ -212,17 +163,17 @@ mod tests {
             let conv = Conversion::circular(k, e, f).unwrap();
             let rv = RequestVector::from_counts(counts.clone()).unwrap();
             let mask = ChannelMask::all_free(k);
-            let out = approx_schedule(&conv, &rv, &mask).unwrap();
-            validate_assignments(&conv, &rv, &mask, &out.assignments).unwrap();
+            let (assignments, out) = approx(&conv, &rv, &mask).unwrap();
+            validate_assignments(&conv, &rv, &mask, &assignments).unwrap();
             let g = RequestGraph::new(conv, &rv).unwrap();
             let optimal = kuhn(&g).size();
             assert!(
-                out.assignments.len() + out.bound >= optimal,
+                assignments.len() + out.bound >= optimal,
                 "k={k} e={e} f={f} counts={counts:?}: got {} optimal {optimal} bound {}",
-                out.assignments.len(),
+                assignments.len(),
                 out.bound
             );
-            assert!(out.assignments.len() <= optimal);
+            assert!(assignments.len() <= optimal);
         }
     }
 
@@ -235,19 +186,23 @@ mod tests {
             let counts: Vec<usize> =
                 (0..8).map(|w| if pattern & (1 << w) != 0 { 2 } else { 0 }).collect();
             let rv = RequestVector::from_counts(counts).unwrap();
-            let exact = break_fa_schedule(&conv, &rv, &mask).unwrap().len();
-            let out = approx_schedule(&conv, &rv, &mask).unwrap();
-            assert!(out.assignments.len() + out.bound >= exact, "pattern {pattern:#010b}");
-            assert!(out.assignments.len() <= exact);
+            let mut exact = Vec::new();
+            let choice = BreakChoice::default();
+            break_fa_schedule_into(&conv, &rv, &mask, choice, &mut ScratchArena::new(), &mut exact)
+                .unwrap();
+            let exact = exact.len();
+            let (assignments, out) = approx(&conv, &rv, &mask).unwrap();
+            assert!(assignments.len() + out.bound >= exact, "pattern {pattern:#010b}");
+            assert!(assignments.len() <= exact);
         }
     }
 
     #[test]
     fn empty_requests() {
         let conv = Conversion::symmetric_circular(6, 3).unwrap();
-        let out =
-            approx_schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)).unwrap();
-        assert!(out.assignments.is_empty());
+        let (assignments, out) =
+            approx(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)).unwrap();
+        assert!(assignments.is_empty());
         assert_eq!(out.bound, 0);
     }
 
@@ -255,8 +210,8 @@ mod tests {
     fn full_range_is_exact() {
         let conv = Conversion::full(6).unwrap();
         let rv = RequestVector::from_counts(vec![2, 1, 0, 1, 1, 2]).unwrap();
-        let out = approx_schedule(&conv, &rv, &ChannelMask::all_free(6)).unwrap();
-        assert_eq!(out.assignments.len(), 6);
+        let (assignments, out) = approx(&conv, &rv, &ChannelMask::all_free(6)).unwrap();
+        assert_eq!(assignments.len(), 6);
         assert_eq!(out.bound, 0);
     }
 
@@ -264,7 +219,7 @@ mod tests {
     fn non_circular_rejected() {
         let conv = Conversion::non_circular(6, 1, 1).unwrap();
         assert!(matches!(
-            approx_schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)),
+            approx(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)),
             Err(Error::UnsupportedConversion { .. })
         ));
     }
@@ -276,10 +231,10 @@ mod tests {
         let conv = Conversion::symmetric_circular(6, 3).unwrap();
         let rv = RequestVector::from_counts(vec![2, 0, 0, 0, 0, 0]).unwrap();
         let mask = ChannelMask::with_occupied(6, &[0]).unwrap();
-        let out = approx_schedule(&conv, &rv, &mask).unwrap();
-        validate_assignments(&conv, &rv, &mask, &out.assignments).unwrap();
+        let (assignments, out) = approx(&conv, &rv, &mask).unwrap();
+        validate_assignments(&conv, &rv, &mask, &assignments).unwrap();
         // t = ±1 remain; bound = max(e+t, f−t) = 2 either way.
         assert_eq!(out.bound, 2);
-        assert_eq!(out.assignments.len(), 2);
+        assert_eq!(assignments.len(), 2);
     }
 }

@@ -14,8 +14,8 @@
 //!
 //! Total: `O(dk)`, independent of the interconnect size `N`.
 //!
-//! Two implementations are provided: [`break_fa_schedule`] is the compact
-//! production scheduler that never materializes a graph, and
+//! Two implementations are provided: [`break_fa_schedule_into`] is the
+//! compact production scheduler that never materializes a graph, and
 //! [`break_fa_matching`] is the explicit reference version built from
 //! [`crate::breaking::break_graph`]. The test suite checks both against the
 //! Hopcroft–Karp/Kuhn oracles.
@@ -49,70 +49,33 @@ pub enum BreakChoice {
 /// The compact `O(dk)` Break and First Available scheduler for circular
 /// conversion.
 ///
-/// Full-range conversion is dispatched to the trivial scheduler;
-/// non-circular conversion is rejected (use
-/// [`super::first_available::fa_schedule`]).
+/// `out` is cleared and receives the winning schedule (breaking edge
+/// included); the `d` candidate schedules are evaluated in `scratch` without
+/// materializing a graph. `choice` picks the breaking vertex; every choice
+/// yields a maximum matching. Full-range conversion is dispatched to the
+/// trivial scheduler; non-circular conversion is rejected (use
+/// [`super::first_available::fa_schedule_into`]).
+///
+/// Once the buffers have reached steady-state capacity for the fiber's `k`
+/// the call performs zero heap allocations — this is the per-slot
+/// production path used by [`crate::FiberScheduler::schedule_slot`], which
+/// also certifies it ([`crate::FiberScheduler::schedule_slot_checked`]).
 ///
 /// ```
-/// use wdm_core::{ChannelMask, Conversion, RequestVector};
-/// use wdm_core::algorithms::break_fa_schedule;
+/// use wdm_core::{ChannelMask, Conversion, RequestVector, ScratchArena};
+/// use wdm_core::algorithms::{break_fa_schedule_into, BreakChoice};
 ///
 /// let conv = Conversion::symmetric_circular(6, 3)?;
 /// let requests = RequestVector::from_counts(vec![2, 1, 0, 1, 1, 2])?;
-/// let grants = break_fa_schedule(&conv, &requests, &ChannelMask::all_free(6))?;
+/// let (mut scratch, mut grants) = (ScratchArena::new(), Vec::new());
+/// let (mask, choice) = (ChannelMask::all_free(6), BreakChoice::default());
+/// break_fa_schedule_into(&conv, &requests, &mask, choice, &mut scratch, &mut grants)?;
 /// assert_eq!(grants.len(), 6); // the maximum matching of paper Fig. 4(a)
 /// # Ok::<(), wdm_core::Error>(())
 /// ```
 ///
 /// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<Vec<Assignment>, Error> {
-    break_fa_schedule_with(conv, requests, mask, BreakChoice::default())
-}
-
-/// [`break_fa_schedule`] with an explicit breaking-vertex policy.
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule_with(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    choice: BreakChoice,
-) -> Result<Vec<Assignment>, Error> {
-    let mut scratch = ScratchArena::new();
-    let mut out = Vec::new();
-    break_fa_schedule_with_into(conv, requests, mask, choice, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// [`break_fa_schedule`] writing into caller-provided buffers, with the
-/// default breaking-vertex policy. See [`break_fa_schedule_with_into`].
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
 pub fn break_fa_schedule_into(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Assignment>,
-) -> Result<(), Error> {
-    break_fa_schedule_with_into(conv, requests, mask, BreakChoice::default(), scratch, out)
-}
-
-/// [`break_fa_schedule_with`] writing into caller-provided buffers.
-///
-/// `out` is cleared and receives the winning schedule (breaking edge
-/// included); the `d` candidate schedules are evaluated in `scratch` without
-/// materializing a graph. Once the buffers have reached steady-state
-/// capacity for the fiber's `k` the call performs zero heap allocations —
-/// this is the per-slot production path used by
-/// [`crate::FiberScheduler::schedule_slot`].
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule_with_into(
     conv: &Conversion,
     requests: &RequestVector,
     mask: &ChannelMask,
@@ -491,77 +454,6 @@ pub fn break_fa_matching(graph: &RequestGraph) -> Matching {
     best
 }
 
-/// [`break_fa_schedule`] with its certificate: the returned schedule is
-/// verified feasible and a maximum matching of the slot's request graph
-/// (Theorem 2).
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<Vec<Assignment>, Error> {
-    break_fa_schedule_with_checked(conv, requests, mask, BreakChoice::default())
-}
-
-/// [`break_fa_schedule_with`] with the Theorem 2 certificate.
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule_with_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    choice: BreakChoice,
-) -> Result<Vec<Assignment>, Error> {
-    let assignments = break_fa_schedule_with(conv, requests, mask, choice)?;
-    crate::verify::certify_assignments(conv, requests, mask, &assignments)?;
-    Ok(assignments)
-}
-
-/// [`break_fa_schedule_into`] with the Theorem 2 certificate. The
-/// certificate itself allocates; use the unchecked variant on the
-/// zero-allocation hot path.
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule_into_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Assignment>,
-) -> Result<(), Error> {
-    break_fa_schedule_with_into_checked(conv, requests, mask, BreakChoice::default(), scratch, out)
-}
-
-/// [`break_fa_schedule_with_into`] with the Theorem 2 certificate.
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_schedule_with_into_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    choice: BreakChoice,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Assignment>,
-) -> Result<(), Error> {
-    break_fa_schedule_with_into(conv, requests, mask, choice, scratch, out)?;
-    crate::verify::certify_assignments(conv, requests, mask, out)?;
-    Ok(())
-}
-
-/// [`break_fa_matching`] with its certificate: the returned matching is
-/// verified valid, maximum (Theorem 2), and — the extra structure breaking
-/// buys — crossing-free (Lemma 1).
-///
-/// Paper: Theorem 2 (Break and First Available, Table 3; Lemmas 2–4).
-pub fn break_fa_matching_checked(graph: &RequestGraph) -> Result<Matching, Error> {
-    let m = break_fa_matching(graph);
-    let cert = crate::verify::MatchingCertificate::new(graph, &m);
-    cert.check()?;
-    cert.check_crossing_free()?;
-    Ok(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -569,6 +461,25 @@ mod tests {
     /// (k, e, f, counts, occupied-channels) test case.
     type OccupiedCase = (usize, usize, usize, Vec<usize>, Vec<usize>);
     use crate::algorithms::{hopcroft_karp, kuhn, validate_assignments};
+
+    fn bfa_with(
+        conv: &Conversion,
+        rv: &RequestVector,
+        mask: &ChannelMask,
+        choice: BreakChoice,
+    ) -> Result<Vec<Assignment>, Error> {
+        let mut out = Vec::new();
+        break_fa_schedule_into(conv, rv, mask, choice, &mut ScratchArena::new(), &mut out)?;
+        Ok(out)
+    }
+
+    fn bfa(
+        conv: &Conversion,
+        rv: &RequestVector,
+        mask: &ChannelMask,
+    ) -> Result<Vec<Assignment>, Error> {
+        bfa_with(conv, rv, mask, BreakChoice::default())
+    }
 
     fn paper_conv() -> Conversion {
         Conversion::symmetric_circular(6, 3).unwrap()
@@ -585,7 +496,7 @@ mod tests {
         let conv = paper_conv();
         let rv = paper_requests();
         let mask = ChannelMask::all_free(6);
-        let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let a = bfa(&conv, &rv, &mask).unwrap();
         assert_eq!(a.len(), 6);
         validate_assignments(&conv, &rv, &mask, &a).unwrap();
     }
@@ -606,7 +517,7 @@ mod tests {
         let conv = paper_conv();
         let rv = RequestVector::from_counts(vec![0, 2, 3, 0, 1, 0]).unwrap();
         let mask = ChannelMask::all_free(6);
-        let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let a = bfa(&conv, &rv, &mask).unwrap();
         assert_eq!(a.len(), 5);
         validate_assignments(&conv, &rv, &mask, &a).unwrap();
     }
@@ -630,7 +541,7 @@ mod tests {
             let conv = Conversion::circular(k, e, f).unwrap();
             let rv = RequestVector::from_counts(counts.clone()).unwrap();
             let mask = ChannelMask::all_free(k);
-            let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+            let a = bfa(&conv, &rv, &mask).unwrap();
             validate_assignments(&conv, &rv, &mask, &a).unwrap();
             let g = RequestGraph::new(conv, &rv).unwrap();
             let oracle = hopcroft_karp(&g).size();
@@ -655,7 +566,7 @@ mod tests {
             let conv = Conversion::circular(k, e, f).unwrap();
             let rv = RequestVector::from_counts(counts.clone()).unwrap();
             let mask = ChannelMask::with_occupied(k, &occupied).unwrap();
-            let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+            let a = bfa(&conv, &rv, &mask).unwrap();
             validate_assignments(&conv, &rv, &mask, &a).unwrap();
             let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
             let oracle = kuhn(&g).size();
@@ -672,7 +583,7 @@ mod tests {
         let conv = Conversion::full(6).unwrap();
         let rv = paper_requests();
         let mask = ChannelMask::all_free(6);
-        let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let a = bfa(&conv, &rv, &mask).unwrap();
         assert_eq!(a.len(), 6);
     }
 
@@ -680,7 +591,7 @@ mod tests {
     fn non_circular_rejected() {
         let conv = Conversion::non_circular(6, 1, 1).unwrap();
         assert!(matches!(
-            break_fa_schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)),
+            bfa(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)),
             Err(Error::UnsupportedConversion { .. })
         ));
     }
@@ -688,15 +599,14 @@ mod tests {
     #[test]
     fn empty_requests() {
         let conv = paper_conv();
-        let a =
-            break_fa_schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)).unwrap();
+        let a = bfa(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)).unwrap();
         assert!(a.is_empty());
     }
 
     #[test]
     fn fully_occupied_fiber() {
         let conv = paper_conv();
-        let a = break_fa_schedule(&conv, &paper_requests(), &ChannelMask::all_occupied(6)).unwrap();
+        let a = bfa(&conv, &paper_requests(), &ChannelMask::all_occupied(6)).unwrap();
         assert!(a.is_empty());
     }
 
@@ -708,7 +618,7 @@ mod tests {
         let conv = paper_conv();
         let rv = RequestVector::from_counts(vec![2, 0, 0, 1, 0, 0]).unwrap();
         let mask = ChannelMask::with_occupied(6, &[5, 0, 1]).unwrap();
-        let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let a = bfa(&conv, &rv, &mask).unwrap();
         validate_assignments(&conv, &rv, &mask, &a).unwrap();
         assert_eq!(a.len(), 1);
         assert_eq!(a[0].input, 3);
@@ -719,9 +629,8 @@ mod tests {
         let conv = paper_conv();
         let rv = paper_requests();
         let mask = ChannelMask::all_free(6);
-        let first = break_fa_schedule_with(&conv, &rv, &mask, BreakChoice::FirstRequest).unwrap();
-        let densest =
-            break_fa_schedule_with(&conv, &rv, &mask, BreakChoice::DensestWavelength).unwrap();
+        let first = bfa_with(&conv, &rv, &mask, BreakChoice::FirstRequest).unwrap();
+        let densest = bfa_with(&conv, &rv, &mask, BreakChoice::DensestWavelength).unwrap();
         assert_eq!(first.len(), densest.len());
         validate_assignments(&conv, &rv, &mask, &densest).unwrap();
     }
@@ -732,7 +641,7 @@ mod tests {
         let conv = Conversion::circular(6, 0, 1).unwrap();
         let rv = RequestVector::from_counts(vec![2, 0, 2, 0, 2, 0]).unwrap();
         let mask = ChannelMask::all_free(6);
-        let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let a = bfa(&conv, &rv, &mask).unwrap();
         validate_assignments(&conv, &rv, &mask, &a).unwrap();
         let g = RequestGraph::new(conv, &rv).unwrap();
         assert_eq!(a.len(), kuhn(&g).size());
@@ -744,7 +653,7 @@ mod tests {
         let conv = Conversion::full(1).unwrap();
         let rv = RequestVector::from_counts(vec![3]).unwrap();
         let mask = ChannelMask::all_free(1);
-        let a = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let a = bfa(&conv, &rv, &mask).unwrap();
         assert_eq!(a.len(), 1);
     }
 
@@ -905,7 +814,7 @@ mod tests {
             let rv = RequestVector::from_counts(counts.clone()).unwrap();
             let mask = ChannelMask::with_occupied(k, &occupied).unwrap();
             for choice in [BreakChoice::FirstRequest, BreakChoice::DensestWavelength] {
-                let fast = break_fa_schedule_with(&conv, &rv, &mask, choice).unwrap();
+                let fast = bfa_with(&conv, &rv, &mask, choice).unwrap();
                 let slow = reference::break_fa_reference(&conv, &rv, &mask, choice).unwrap();
                 assert_eq!(
                     fast, slow,
@@ -944,7 +853,7 @@ mod tests {
                 let rv = RequestVector::from_counts(counts).unwrap();
                 let mask = ChannelMask::from_flags(free).unwrap();
                 for choice in [BreakChoice::FirstRequest, BreakChoice::DensestWavelength] {
-                    let fast = break_fa_schedule_with(&conv, &rv, &mask, choice).unwrap();
+                    let fast = bfa_with(&conv, &rv, &mask, choice).unwrap();
                     let slow =
                         reference::break_fa_reference(&conv, &rv, &mask, choice).unwrap();
                     prop_assert_eq!(&fast, &slow, "choice {:?}", choice);

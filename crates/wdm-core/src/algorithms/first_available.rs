@@ -70,36 +70,17 @@ impl ConvexInstance {
 ///
 /// The instance must satisfy [`ConvexInstance::has_monotone_endpoints`]
 /// (checked with a debug assertion); without monotonicity use
-/// [`super::glover`].
+/// [`super::glover()`].
 ///
 /// Paper: Theorem 1 (First Available, Table 2).
 #[must_use]
 pub fn first_available(inst: &ConvexInstance) -> Vec<Option<usize>> {
-    let mut scratch = ScratchArena::new();
-    let mut match_of_right = Vec::new();
-    first_available_into(inst, &mut scratch, &mut match_of_right);
-    match_of_right
-}
-
-/// [`first_available`] writing into caller-provided buffers: `out` receives
-/// the `MATCH[]` array and `scratch` provides the active-vertex queue.
-/// Allocation-free once both have steady-state capacity.
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn first_available_into(
-    inst: &ConvexInstance,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Option<usize>>,
-) {
     debug_assert!(inst.has_monotone_endpoints(), "First Available requires monotone endpoints");
-    out.clear();
-    out.resize(inst.right_count, None);
-    let match_of_right = out;
+    let mut match_of_right = vec![None; inst.right_count];
     // Active left vertices whose interval has begun, in index order. The
     // front is both the first adjacent vertex and (by monotonicity) the one
     // with minimum END.
-    let active: &mut VecDeque<usize> = &mut scratch.active;
-    active.clear();
+    let mut active: VecDeque<usize> = VecDeque::new();
     let mut next = 0usize;
     for (p, slot) in match_of_right.iter_mut().enumerate() {
         while next < inst.intervals.len() {
@@ -125,6 +106,7 @@ pub fn first_available_into(
             *slot = Some(j);
         }
     }
+    match_of_right
 }
 
 /// First Available on an explicit request graph, returning a [`Matching`].
@@ -143,64 +125,6 @@ pub fn first_available_matching(graph: &RequestGraph) -> Matching {
     }
 }
 
-/// [`first_available`] with its certificate: checks the convexity and
-/// monotone-endpoint preconditions of Theorem 1 up front and certifies the
-/// output as a maximum matching of the interval instance before returning
-/// it.
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn first_available_checked(inst: &ConvexInstance) -> Result<Vec<Option<usize>>, Error> {
-    crate::verify::check_convex(inst)?;
-    crate::verify::check_monotone_endpoints(inst)?;
-    let match_of_right = first_available(inst);
-    crate::verify::check_interval_matching(inst, &match_of_right)?;
-    Ok(match_of_right)
-}
-
-/// [`first_available_into`] with the [`first_available_checked`]
-/// certificate. The certificate itself allocates; use the unchecked variant
-/// on the zero-allocation hot path.
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn first_available_into_checked(
-    inst: &ConvexInstance,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Option<usize>>,
-) -> Result<(), Error> {
-    crate::verify::check_convex(inst)?;
-    crate::verify::check_monotone_endpoints(inst)?;
-    first_available_into(inst, scratch, out);
-    crate::verify::check_interval_matching(inst, out)?;
-    Ok(())
-}
-
-/// [`first_available_matching`] with its certificate: the returned matching
-/// is verified valid and maximum (Theorem 1) against the explicit graph.
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn first_available_matching_checked(graph: &RequestGraph) -> Result<Matching, Error> {
-    for j in 0..graph.left_count() {
-        graph.position_interval_checked(j)?;
-    }
-    let m = first_available_matching(graph);
-    crate::verify::MatchingCertificate::new(graph, &m).check()?;
-    Ok(m)
-}
-
-/// [`fa_schedule`] with its certificate: the returned schedule is verified
-/// feasible and a maximum matching of the slot's request graph (Theorem 1).
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn fa_schedule_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<Vec<Assignment>, Error> {
-    let assignments = fa_schedule(conv, requests, mask)?;
-    crate::verify::certify_assignments(conv, requests, mask, &assignments)?;
-    Ok(assignments)
-}
-
 /// The `O(k)` compact First Available scheduler (paper Table 2) for
 /// non-circular conversion.
 ///
@@ -210,39 +134,25 @@ pub fn fa_schedule_checked(
 /// handled per §V by mapping wavelength intervals to free-channel positions
 /// with prefix counts.
 ///
-/// Returns the granted assignments in output-wavelength order.
-///
-/// ```
-/// use wdm_core::{ChannelMask, Conversion, RequestVector};
-/// use wdm_core::algorithms::fa_schedule;
-///
-/// let conv = Conversion::non_circular(6, 1, 1)?;
-/// let requests = RequestVector::from_counts(vec![2, 1, 0, 1, 1, 2])?;
-/// let grants = fa_schedule(&conv, &requests, &ChannelMask::all_free(6))?;
-/// assert_eq!(grants.len(), 6); // the maximum matching of paper Fig. 4(b)
-/// # Ok::<(), wdm_core::Error>(())
-/// ```
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn fa_schedule(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<Vec<Assignment>, Error> {
-    let mut scratch = ScratchArena::new();
-    let mut out = Vec::new();
-    fa_schedule_into(conv, requests, mask, &mut scratch, &mut out)?;
-    Ok(out)
-}
-
-/// [`fa_schedule`] writing into caller-provided buffers.
-///
 /// `out` is cleared and receives the granted assignments in
 /// output-wavelength order; every intermediate lives in `scratch`. Once both
 /// have reached steady-state capacity for the fiber's `k` (one warmup slot,
 /// or [`ScratchArena::for_k`]) the call performs zero heap allocations —
 /// this is the per-slot production path used by
-/// [`crate::FiberScheduler::schedule_slot`].
+/// [`crate::FiberScheduler::schedule_slot`], which also certifies it
+/// ([`crate::FiberScheduler::schedule_slot_checked`]).
+///
+/// ```
+/// use wdm_core::{ChannelMask, Conversion, RequestVector, ScratchArena};
+/// use wdm_core::algorithms::fa_schedule_into;
+///
+/// let conv = Conversion::non_circular(6, 1, 1)?;
+/// let requests = RequestVector::from_counts(vec![2, 1, 0, 1, 1, 2])?;
+/// let (mut scratch, mut grants) = (ScratchArena::new(), Vec::new());
+/// fa_schedule_into(&conv, &requests, &ChannelMask::all_free(6), &mut scratch, &mut grants)?;
+/// assert_eq!(grants.len(), 6); // the maximum matching of paper Fig. 4(b)
+/// # Ok::<(), wdm_core::Error>(())
+/// ```
 ///
 /// Paper: Theorem 1 (First Available, Table 2).
 pub fn fa_schedule_into(
@@ -318,27 +228,20 @@ pub fn fa_schedule_into(
     Ok(())
 }
 
-/// [`fa_schedule_into`] with the Theorem 1 certificate. The certificate
-/// itself allocates (it rebuilds the request graph and runs the oracle); use
-/// the unchecked variant on the zero-allocation hot path.
-///
-/// Paper: Theorem 1 (First Available, Table 2).
-pub fn fa_schedule_into_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Assignment>,
-) -> Result<(), Error> {
-    fa_schedule_into(conv, requests, mask, scratch, out)?;
-    crate::verify::certify_assignments(conv, requests, mask, out)?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::validate_assignments;
+
+    fn fa(
+        conv: &Conversion,
+        rv: &RequestVector,
+        mask: &ChannelMask,
+    ) -> Result<Vec<Assignment>, Error> {
+        let mut out = Vec::new();
+        fa_schedule_into(conv, rv, mask, &mut ScratchArena::new(), &mut out)?;
+        Ok(out)
+    }
 
     fn paper_conv() -> Conversion {
         Conversion::non_circular(6, 1, 1).unwrap()
@@ -369,7 +272,7 @@ mod tests {
         let conv = paper_conv();
         let rv = paper_requests();
         let mask = ChannelMask::all_free(6);
-        let assignments = fa_schedule(&conv, &rv, &mask).unwrap();
+        let assignments = fa(&conv, &rv, &mask).unwrap();
         validate_assignments(&conv, &rv, &mask, &assignments).unwrap();
         assert_eq!(assignments.len(), 6);
         let g = RequestGraph::new(conv, &rv).unwrap();
@@ -381,14 +284,14 @@ mod tests {
         let conv = Conversion::symmetric_circular(6, 3).unwrap();
         let rv = RequestVector::new(6);
         let mask = ChannelMask::all_free(6);
-        assert!(matches!(fa_schedule(&conv, &rv, &mask), Err(Error::UnsupportedConversion { .. })));
+        assert!(matches!(fa(&conv, &rv, &mask), Err(Error::UnsupportedConversion { .. })));
     }
 
     #[test]
     fn rejects_mismatched_dimensions() {
         let conv = paper_conv();
-        assert!(fa_schedule(&conv, &RequestVector::new(5), &ChannelMask::all_free(6)).is_err());
-        assert!(fa_schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(5)).is_err());
+        assert!(fa(&conv, &RequestVector::new(5), &ChannelMask::all_free(6)).is_err());
+        assert!(fa(&conv, &RequestVector::new(6), &ChannelMask::all_free(5)).is_err());
     }
 
     #[test]
@@ -396,7 +299,7 @@ mod tests {
         let conv = paper_conv();
         let rv = paper_requests();
         let mask = ChannelMask::with_occupied(6, &[0, 1]).unwrap();
-        let assignments = fa_schedule(&conv, &rv, &mask).unwrap();
+        let assignments = fa(&conv, &rv, &mask).unwrap();
         validate_assignments(&conv, &rv, &mask, &assignments).unwrap();
         // λ0 requests can only use b0/b1, both occupied; λ1 can use b2.
         // Free channels: 2, 3, 4, 5 → matchable: a2(λ1)→b2, a3(λ3)→b3,
@@ -408,16 +311,14 @@ mod tests {
     #[test]
     fn no_requests_no_grants() {
         let conv = paper_conv();
-        let assignments =
-            fa_schedule(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)).unwrap();
+        let assignments = fa(&conv, &RequestVector::new(6), &ChannelMask::all_free(6)).unwrap();
         assert!(assignments.is_empty());
     }
 
     #[test]
     fn all_occupied_no_grants() {
         let conv = paper_conv();
-        let assignments =
-            fa_schedule(&conv, &paper_requests(), &ChannelMask::all_occupied(6)).unwrap();
+        let assignments = fa(&conv, &paper_requests(), &ChannelMask::all_occupied(6)).unwrap();
         assert!(assignments.is_empty());
     }
 
@@ -427,7 +328,7 @@ mod tests {
         let conv = Conversion::non_circular(8, 1, 1).unwrap();
         let rv = RequestVector::from_counts(vec![4; 8]).unwrap();
         let mask = ChannelMask::all_free(8);
-        let assignments = fa_schedule(&conv, &rv, &mask).unwrap();
+        let assignments = fa(&conv, &rv, &mask).unwrap();
         assert_eq!(assignments.len(), 8);
         validate_assignments(&conv, &rv, &mask, &assignments).unwrap();
     }

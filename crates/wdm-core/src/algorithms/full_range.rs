@@ -17,23 +17,9 @@ use super::Assignment;
 ///
 /// Grants requests in ascending wavelength order (the "arbitrary pick") and
 /// assigns free channels in ascending order. Returns an error if `conv` is
-/// not full-range.
-///
-/// Paper: §I (full-range conversion: grant min(requests, free channels)).
-pub fn full_range_schedule(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<Vec<Assignment>, Error> {
-    let mut out = Vec::new();
-    full_range_schedule_into(conv, requests, mask, &mut out)?;
-    Ok(out)
-}
-
-/// [`full_range_schedule`] writing into a caller-provided buffer. `out` is
-/// cleared first; the call is allocation-free once `out` has capacity for
-/// `min(requests, free channels)` grants. Needs no scratch — the trivial
-/// scheduler has no intermediate state.
+/// not full-range. `out` is cleared first; the call is allocation-free once
+/// `out` has capacity for `min(requests, free channels)` grants. Needs no
+/// scratch — the trivial scheduler has no intermediate state.
 ///
 /// Paper: §I (full-range conversion: grant min(requests, free channels)).
 pub fn full_range_schedule_into(
@@ -63,40 +49,20 @@ pub fn full_range_schedule_into(
     Ok(())
 }
 
-/// [`full_range_schedule_into`] with the feasibility-and-maximality
-/// certificate. The certificate itself allocates; use the unchecked variant
-/// on the zero-allocation hot path.
-///
-/// Paper: §I (full-range conversion: grant min(requests, free channels)).
-pub fn full_range_schedule_into_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-    out: &mut Vec<Assignment>,
-) -> Result<(), Error> {
-    full_range_schedule_into(conv, requests, mask, out)?;
-    crate::verify::certify_assignments(conv, requests, mask, out)?;
-    Ok(())
-}
-
-/// [`full_range_schedule`] with its certificate: the returned schedule is
-/// verified feasible and of maximum size `min(requests, free channels)`.
-///
-/// Paper: §I (full-range conversion: grant min(requests, free channels)).
-pub fn full_range_schedule_checked(
-    conv: &Conversion,
-    requests: &RequestVector,
-    mask: &ChannelMask,
-) -> Result<Vec<Assignment>, Error> {
-    let assignments = full_range_schedule(conv, requests, mask)?;
-    crate::verify::certify_assignments(conv, requests, mask, &assignments)?;
-    Ok(assignments)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::validate_assignments;
+
+    fn full_range_schedule(
+        conv: &Conversion,
+        rv: &RequestVector,
+        mask: &ChannelMask,
+    ) -> Result<Vec<Assignment>, Error> {
+        let mut out = Vec::new();
+        full_range_schedule_into(conv, rv, mask, &mut out)?;
+        Ok(out)
+    }
 
     #[test]
     fn grants_all_when_underloaded() {

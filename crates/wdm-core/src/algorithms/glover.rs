@@ -3,12 +3,11 @@
 //!
 //! Scanning the right vertices in order, each is matched to the adjacent
 //! left vertex whose interval *ends soonest* (minimum `END`). Unlike
-//! [`super::first_available`], this works for any convex instance — the
+//! [`super::first_available()`], this works for any convex instance — the
 //! endpoints need not be monotone — at the cost of a priority queue.
 
 use std::cmp::Reverse;
-
-use crate::arena::ScratchArena;
+use std::collections::BinaryHeap;
 
 use super::first_available::ConvexInstance;
 
@@ -21,40 +20,19 @@ use super::first_available::ConvexInstance;
 /// Paper: Table 1 (Glover's min-END rule for convex bipartite graphs).
 #[must_use]
 pub fn glover(inst: &ConvexInstance) -> Vec<Option<usize>> {
-    let mut scratch = ScratchArena::new();
-    let mut match_of_right = Vec::new();
-    glover_into(inst, &mut scratch, &mut match_of_right);
-    match_of_right
-}
-
-/// [`glover`] writing into caller-provided buffers: `out` receives the
-/// `MATCH[]` array; the begin-sorted vertex list and the min-`END` heap live
-/// in `scratch`. Allocation-free once both have steady-state capacity.
-///
-/// Paper: Table 1 (Glover's min-END rule for convex bipartite graphs).
-pub fn glover_into(
-    inst: &ConvexInstance,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Option<usize>>,
-) {
     // Left vertices sorted by interval begin (stable: ties keep index order).
-    let by_begin = &mut scratch.by_begin;
-    by_begin.clear();
-    by_begin.extend(
-        inst.intervals
-            .iter()
-            .enumerate()
-            .filter_map(|(j, iv)| iv.map(|(begin, end)| (begin, end, j))),
-    );
+    let mut by_begin: Vec<(usize, usize, usize)> = inst
+        .intervals
+        .iter()
+        .enumerate()
+        .filter_map(|(j, iv)| iv.map(|(begin, end)| (begin, end, j)))
+        .collect();
     // Unstable sort: the (begin, j) keys are unique, and unlike the stable
     // sort it needs no temporary buffer.
     by_begin.sort_unstable_by_key(|&(begin, _, j)| (begin, j));
 
-    out.clear();
-    out.resize(inst.right_count, None);
-    let match_of_right = out;
-    let heap = &mut scratch.heap; // (end, left)
-    heap.clear();
+    let mut match_of_right = vec![None; inst.right_count];
+    let mut heap = BinaryHeap::new(); // (end, left)
     let mut next = 0usize;
     for (p, slot) in match_of_right.iter_mut().enumerate() {
         while next < by_begin.len() {
@@ -77,36 +55,7 @@ pub fn glover_into(
             *slot = Some(j);
         }
     }
-}
-
-/// [`glover`] with its certificate: checks that the instance is well-formed
-/// convex and that the output is a maximum matching of it. Unlike
-/// [`super::first_available::first_available_checked`] this does not require
-/// monotone endpoints — Glover's min-`END` rule is exact for any convex
-/// instance.
-///
-/// Paper: Table 1 (Glover's min-END rule for convex bipartite graphs).
-pub fn glover_checked(inst: &ConvexInstance) -> Result<Vec<Option<usize>>, crate::error::Error> {
-    crate::verify::check_convex(inst)?;
-    let match_of_right = glover(inst);
-    crate::verify::check_interval_matching(inst, &match_of_right)?;
-    Ok(match_of_right)
-}
-
-/// [`glover_into`] with the [`glover_checked`] certificate. The certificate
-/// itself allocates; use the unchecked variant when reusing buffers for
-/// speed.
-///
-/// Paper: Table 1 (Glover's min-END rule for convex bipartite graphs).
-pub fn glover_into_checked(
-    inst: &ConvexInstance,
-    scratch: &mut ScratchArena,
-    out: &mut Vec<Option<usize>>,
-) -> Result<(), crate::error::Error> {
-    crate::verify::check_convex(inst)?;
-    glover_into(inst, scratch, out);
-    crate::verify::check_interval_matching(inst, out)?;
-    Ok(())
+    match_of_right
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Hopcroft–Karp maximum bipartite matching — the paper's baseline [1].
+//! Hopcroft–Karp maximum bipartite matching — the paper's baseline \[1\].
 //!
 //! The best known algorithm for maximum matching in an *arbitrary* bipartite
 //! graph, `O(sqrt(V) · E)`. Applied to a whole-interconnect request graph it
@@ -6,7 +6,8 @@
 //! schedulers are measured against (and what the benchmark suite reproduces
 //! empirically).
 
-use crate::arena::ScratchArena;
+use std::collections::VecDeque;
+
 use crate::graph::RequestGraph;
 use crate::matching::Matching;
 
@@ -15,38 +16,22 @@ const INF: usize = usize::MAX;
 /// Finds a maximum matching in an arbitrary request graph with the
 /// Hopcroft–Karp algorithm.
 ///
-/// Paper: reference [1] baseline (Hopcroft–Karp, O(sqrt(V)*E)).
-pub fn hopcroft_karp(graph: &RequestGraph) -> Matching {
-    let mut scratch = ScratchArena::new();
-    hopcroft_karp_in(graph, &mut scratch)
-}
-
-/// [`hopcroft_karp`] running its BFS layering and match arrays out of a
-/// caller-provided arena.
+/// Hopcroft–Karp is the oracle and the `Policy::HopcroftKarp` baseline, not
+/// part of the certified zero-allocation hot path: it allocates its BFS
+/// layering and match arrays per call.
 ///
-/// The returned [`Matching`] still owns its arrays (one allocation pair per
-/// call): Hopcroft–Karp is the oracle and the `Policy::HopcroftKarp`
-/// baseline, not part of the certified zero-allocation hot path — reusing
-/// the arena only trims its constant factor.
-///
-/// Paper: reference [1] baseline (Hopcroft–Karp, O(sqrt(V)*E)).
+/// Paper: reference \[1\] baseline (Hopcroft–Karp, O(sqrt(V)*E)).
 #[wdm_attr::allow_reach(
     panic_free,
-    reason = "the BFS/DFS layer arrays are resized to the graph's vertex counts at entry and every visited index comes from the graph's adjacency lists; the produced matching is re-verified by the maximality certificate in debug builds"
+    reason = "the BFS/DFS layer arrays are sized to the graph's vertex counts at entry and every visited index comes from the graph's adjacency lists; the produced matching is re-verified by the maximality certificate in debug builds"
 )]
-pub fn hopcroft_karp_in(graph: &RequestGraph, scratch: &mut ScratchArena) -> Matching {
+pub fn hopcroft_karp(graph: &RequestGraph) -> Matching {
     let nl = graph.left_count();
     let nr = graph.right_count();
-    let match_left = &mut scratch.match_left;
-    match_left.clear();
-    match_left.resize(nl, None);
-    let match_right = &mut scratch.match_right;
-    match_right.clear();
-    match_right.resize(nr, None);
-    let dist = &mut scratch.dist;
-    dist.clear();
-    dist.resize(nl, INF);
-    let queue = &mut scratch.queue;
+    let mut match_left = vec![None; nl];
+    let mut match_right = vec![None; nr];
+    let mut dist = vec![INF; nl];
+    let mut queue = VecDeque::new();
 
     loop {
         // BFS phase: layer the free left vertices.
@@ -103,39 +88,15 @@ pub fn hopcroft_karp_in(graph: &RequestGraph, scratch: &mut ScratchArena) -> Mat
         }
         for j in 0..nl {
             if match_left[j].is_none() {
-                dfs(graph, j, dist, match_left, match_right);
+                dfs(graph, j, &mut dist, &mut match_left, &mut match_right);
             }
         }
     }
 
-    match Matching::from_right_assignment(nl, match_right.clone()) {
+    match Matching::from_right_assignment(nl, match_right) {
         Ok(m) => m,
         Err(_) => unreachable!("Hopcroft-Karp produces a consistent matching"),
     }
-}
-
-/// [`hopcroft_karp_in`] with the Berge-certificate of
-/// [`hopcroft_karp_checked`].
-///
-/// Paper: reference [1] baseline (Hopcroft–Karp, O(sqrt(V)*E)).
-pub fn hopcroft_karp_in_checked(
-    graph: &RequestGraph,
-    scratch: &mut ScratchArena,
-) -> Result<Matching, crate::error::Error> {
-    let m = hopcroft_karp_in(graph, scratch);
-    crate::verify::MatchingCertificate::new(graph, &m).check()?;
-    Ok(m)
-}
-
-/// [`hopcroft_karp`] with its certificate: the returned matching is verified
-/// valid and maximum (no augmenting path, Berge's theorem) before being
-/// returned.
-///
-/// Paper: reference [1] baseline (Hopcroft–Karp, O(sqrt(V)*E)).
-pub fn hopcroft_karp_checked(graph: &RequestGraph) -> Result<Matching, crate::error::Error> {
-    let m = hopcroft_karp(graph);
-    crate::verify::MatchingCertificate::new(graph, &m).check()?;
-    Ok(m)
 }
 
 #[cfg(test)]

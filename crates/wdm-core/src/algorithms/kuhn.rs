@@ -3,10 +3,9 @@
 //! A plain `O(V · E)` maximum bipartite matching via repeated augmenting-path
 //! search. It is the simplest algorithm whose correctness is immediate from
 //! König/Berge theory, so the test suite uses it (alongside
-//! [`super::hopcroft_karp`]) as the ground truth the paper's fast schedulers
+//! [`super::hopcroft_karp()`]) as the ground truth the paper's fast schedulers
 //! are checked against.
 
-use crate::arena::ScratchArena;
 use crate::graph::RequestGraph;
 use crate::matching::Matching;
 
@@ -15,25 +14,10 @@ use crate::matching::Matching;
 ///
 /// Paper: maximum-matching oracle for Theorems 1–3 (§II formulation).
 pub fn kuhn(graph: &RequestGraph) -> Matching {
-    let mut scratch = ScratchArena::new();
-    kuhn_in(graph, &mut scratch)
-}
-
-/// [`kuhn`] running its visited stamps and match array out of a
-/// caller-provided arena. Like [`super::hopcroft_karp_in`], the returned
-/// [`Matching`] still owns its arrays — Kuhn is an oracle, not part of the
-/// certified zero-allocation hot path.
-///
-/// Paper: maximum-matching oracle for Theorems 1–3 (§II formulation).
-pub fn kuhn_in(graph: &RequestGraph, scratch: &mut ScratchArena) -> Matching {
     let nl = graph.left_count();
     let nr = graph.right_count();
-    let match_of_right = &mut scratch.match_right;
-    match_of_right.clear();
-    match_of_right.resize(nr, None);
-    let visited = &mut scratch.visited;
-    visited.clear();
-    visited.resize(nr, usize::MAX);
+    let mut match_of_right = vec![None; nr];
+    let mut visited = vec![usize::MAX; nr];
 
     fn try_augment(
         graph: &RequestGraph,
@@ -60,34 +44,12 @@ pub fn kuhn_in(graph: &RequestGraph, scratch: &mut ScratchArena) -> Matching {
     }
 
     for j in 0..nl {
-        try_augment(graph, j, j, visited, match_of_right);
+        try_augment(graph, j, j, &mut visited, &mut match_of_right);
     }
-    match Matching::from_right_assignment(nl, match_of_right.clone()) {
+    match Matching::from_right_assignment(nl, match_of_right) {
         Ok(m) => m,
         Err(_) => unreachable!("augmenting paths produce a consistent matching"),
     }
-}
-
-/// [`kuhn_in`] with the Berge-certificate of [`kuhn_checked`].
-///
-/// Paper: maximum-matching oracle for Theorems 1–3 (§II formulation).
-pub fn kuhn_in_checked(
-    graph: &RequestGraph,
-    scratch: &mut ScratchArena,
-) -> Result<Matching, crate::error::Error> {
-    let m = kuhn_in(graph, scratch);
-    crate::verify::MatchingCertificate::new(graph, &m).check()?;
-    Ok(m)
-}
-
-/// [`kuhn`] with its certificate: the returned matching is verified valid
-/// and maximum (no augmenting path, Berge's theorem).
-///
-/// Paper: maximum-matching oracle for Theorems 1–3 (§II formulation).
-pub fn kuhn_checked(graph: &RequestGraph) -> Result<Matching, crate::error::Error> {
-    let m = kuhn(graph);
-    crate::verify::MatchingCertificate::new(graph, &m).check()?;
-    Ok(m)
 }
 
 #[cfg(test)]

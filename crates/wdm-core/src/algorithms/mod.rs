@@ -2,23 +2,32 @@
 //!
 //! | Algorithm | Paper | Applies to | Complexity |
 //! |-----------|-------|-----------|------------|
-//! | [`first_available`] | Table 2, Thm 1 | non-circular conversion (convex request graphs with monotone endpoints) | `O(k)` |
-//! | [`glover`] | Table 1 | any convex bipartite graph | `O((n+k) log n)` |
+//! | [`first_available`](mod@first_available) | Table 2, Thm 1 | non-circular conversion (convex request graphs with monotone endpoints) | `O(k)` |
+//! | [`glover`](mod@glover) | Table 1 | any convex bipartite graph | `O((n+k) log n)` |
 //! | [`break_fa`] | Table 3, Thm 2 | circular conversion | `O(dk)` |
 //! | [`approx`] | §IV-C, Thm 3 | circular conversion | `O(k)`, within `(d−1)/2` of optimal |
 //! | [`full_range`] | §I | full-range conversion | `O(k)` |
-//! | [`hopcroft_karp`] | baseline [1] | arbitrary request graphs | `O(E sqrt(V))` |
-//! | [`kuhn`] | verification oracle | arbitrary request graphs | `O(V · E)` |
+//! | [`hopcroft_karp`](mod@hopcroft_karp) | baseline \[1\] | arbitrary request graphs | `O(E sqrt(V))` |
+//! | [`kuhn`](mod@kuhn) | verification oracle | arbitrary request graphs | `O(V · E)` |
 //!
-//! The compact entry points (`*_schedule`) work directly on a
+//! Each algorithm has exactly one public entry point. The compact
+//! schedulers that [`crate::FiberScheduler`] runs per slot
+//! ([`fa_schedule_into`], [`break_fa_schedule_into`], [`approx_schedule_into`],
+//! [`full_range_schedule_into`], [`repair_schedule_into`]) work directly on a
 //! [`crate::RequestVector`] and [`crate::ChannelMask`] without materializing
-//! the request graph; the graph-based entry points (`*_matching`) operate on
-//! an explicit [`crate::RequestGraph`] and are used for verification.
+//! the request graph, and write into a caller-provided output buffer out of
+//! a [`crate::ScratchArena`], so the steady-state slot allocates nothing.
+//! The oracles ([`hopcroft_karp()`], [`kuhn()`], [`glover()`],
+//! [`first_available()`]) and the graph-based references
+//! ([`first_available_matching`], [`break_fa_matching`]) allocate and are
+//! used for verification.
 //!
-//! Every compact scheduler also has a buffer-reusing form (`*_into`, or
-//! `*_in` for the graph oracles) that takes a [`crate::ScratchArena`] and an
-//! output buffer instead of allocating: the production per-slot path. The
-//! allocating entry points are thin wrappers over these.
+//! Certification goes through two places: compact schedules through
+//! [`crate::FiberScheduler::schedule_with_mask_checked`] and
+//! [`crate::FiberScheduler::schedule_slot_checked`], graph matchings through
+//! [`crate::MatchingCertificate::check`] (plus
+//! [`crate::MatchingCertificate::check_crossing_free`] for
+//! [`break_fa_matching`]).
 
 pub mod approx;
 pub mod break_fa;
@@ -29,33 +38,16 @@ pub mod hopcroft_karp;
 pub mod kuhn;
 pub mod repair;
 
-pub use approx::{
-    approx_schedule, approx_schedule_checked, approx_schedule_into, approx_schedule_into_checked,
-    ApproxOutcome, ApproxStats,
-};
-pub use break_fa::{
-    break_fa_matching, break_fa_matching_checked, break_fa_schedule, break_fa_schedule_checked,
-    break_fa_schedule_into, break_fa_schedule_into_checked, break_fa_schedule_with,
-    break_fa_schedule_with_checked, break_fa_schedule_with_into,
-    break_fa_schedule_with_into_checked, BreakChoice,
-};
+pub use approx::{approx_schedule_into, ApproxStats};
+pub use break_fa::{break_fa_matching, break_fa_schedule_into, BreakChoice};
 pub use first_available::{
-    fa_schedule, fa_schedule_checked, fa_schedule_into, fa_schedule_into_checked, first_available,
-    first_available_checked, first_available_into, first_available_into_checked,
-    first_available_matching, first_available_matching_checked, ConvexInstance,
+    fa_schedule_into, first_available, first_available_matching, ConvexInstance,
 };
-pub use full_range::{
-    full_range_schedule, full_range_schedule_checked, full_range_schedule_into,
-    full_range_schedule_into_checked,
-};
-pub use glover::{glover, glover_checked, glover_into, glover_into_checked};
-pub use hopcroft_karp::{
-    hopcroft_karp, hopcroft_karp_checked, hopcroft_karp_in, hopcroft_karp_in_checked,
-};
-pub use kuhn::{kuhn, kuhn_checked, kuhn_in, kuhn_in_checked};
-pub use repair::{
-    repair_schedule_into, repair_schedule_into_checked, RepairOutcome, DEFAULT_REPAIR_BUDGET,
-};
+pub use full_range::full_range_schedule_into;
+pub use glover::glover;
+pub use hopcroft_karp::hopcroft_karp;
+pub use kuhn::kuhn;
+pub use repair::{repair_schedule_into, RepairOutcome, DEFAULT_REPAIR_BUDGET};
 
 use crate::conversion::Conversion;
 use crate::error::Error;

@@ -7,13 +7,13 @@
 //! interval lists, matching arrays, and BFS queues on every slot spends more
 //! time in the allocator than in the algorithm.
 //!
-//! [`ScratchArena`] owns every buffer the compact schedulers need. The
-//! `*_into`/`*_in` variants of the algorithm entry points (e.g.
-//! [`crate::algorithms::fa_schedule_into`]) borrow the arena, `clear()` the
-//! buffers they use (which keeps capacity), and refill them. After a warmup
-//! slot has grown each buffer to its steady-state size for the fiber's `k`,
-//! subsequent slots perform **zero heap allocations** — a property pinned by
-//! the counting-allocator regression test in `wdm-alloc-count`.
+//! [`ScratchArena`] owns every buffer the compact schedulers need. Their
+//! entry points (e.g. [`crate::algorithms::fa_schedule_into`]) borrow the
+//! arena, `clear()` the buffers they use (which keeps capacity), and refill
+//! them. After a warmup slot has grown each buffer to its steady-state size
+//! for the fiber's `k`, subsequent slots perform **zero heap allocations** —
+//! a property pinned by the counting-allocator regression test in
+//! `wdm-alloc-count`.
 //!
 //! ## Ownership model
 //!
@@ -24,8 +24,7 @@
 //! those states to its worker threads: each worker owns the arenas of the
 //! fibers it schedules, and no arena is ever shared or locked.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::algorithms::Assignment;
 
@@ -44,8 +43,8 @@ pub(crate) struct ScratchItem {
     pub end: usize,
 }
 
-/// Per-fiber scratch buffers for the compact schedulers and the matching
-/// baselines. See the [module docs](self) for the ownership model.
+/// Per-fiber scratch buffers for the compact schedulers. See the
+/// [module docs](self) for the ownership model.
 ///
 /// An arena may be reused across conversions and fiber sizes; buffers grow
 /// monotonically to the largest size seen and are never shrunk.
@@ -67,20 +66,8 @@ pub struct ScratchArena {
     pub(crate) candidate: Vec<Assignment>,
     /// The final schedule of the slot (read via [`Self::assignments`]).
     pub(crate) assignments: Vec<Assignment>,
-    /// Hopcroft–Karp BFS layer distances.
-    pub(crate) dist: Vec<usize>,
-    /// Hopcroft–Karp / Berge BFS queue.
+    /// Warm-start repair: augmenting-path BFS queue.
     pub(crate) queue: VecDeque<usize>,
-    /// Kuhn visited stamps per right vertex.
-    pub(crate) visited: Vec<usize>,
-    /// Left-side matching array (graph algorithms).
-    pub(crate) match_left: Vec<Option<usize>>,
-    /// Right-side matching array (graph algorithms).
-    pub(crate) match_right: Vec<Option<usize>>,
-    /// Glover: left vertices sorted by interval begin.
-    pub(crate) by_begin: Vec<(usize, usize, usize)>,
-    /// Glover: min-`END` priority queue of active left vertices.
-    pub(crate) heap: BinaryHeap<Reverse<(usize, usize)>>,
     /// Warm-start repair: granted channels per wavelength so far.
     pub(crate) repair_matched: Vec<usize>,
     /// Warm-start repair: BFS predecessor wavelength (`usize::MAX` =
@@ -101,10 +88,6 @@ impl ScratchArena {
     /// An arena pre-sized for a fiber with `k` wavelength channels: every
     /// buffer the compact schedulers touch is reserved up front, so no
     /// warmup slot is needed before the zero-allocation steady state.
-    ///
-    /// The graph-algorithm buffers (Hopcroft–Karp, Kuhn, Glover) are sized
-    /// for up to `k` left vertices; larger request graphs grow them on first
-    /// use.
     pub fn for_k(k: usize) -> ScratchArena {
         ScratchArena {
             items: Vec::with_capacity(k),
@@ -114,13 +97,7 @@ impl ScratchArena {
             rot_requests: Vec::with_capacity(k),
             candidate: Vec::with_capacity(k + 1),
             assignments: Vec::with_capacity(k + 1),
-            dist: Vec::with_capacity(k),
             queue: VecDeque::with_capacity(k),
-            visited: Vec::with_capacity(k),
-            match_left: Vec::with_capacity(k),
-            match_right: Vec::with_capacity(k),
-            by_begin: Vec::with_capacity(k),
-            heap: BinaryHeap::with_capacity(k),
             repair_matched: Vec::with_capacity(k),
             repair_parent: Vec::with_capacity(k),
             repair_entry: Vec::with_capacity(k),

@@ -20,7 +20,7 @@
 //!
 //! * **non-circular symmetrical** conversion (conversion intervals clamped at
 //!   the spectrum edges) makes the request graph *convex*, and the
-//!   [`algorithms::first_available`] algorithm finds a maximum matching in
+//!   [`algorithms::first_available`](mod@algorithms::first_available) algorithm finds a maximum matching in
 //!   `O(k)` (Theorem 1);
 //! * **circular symmetrical** conversion (intervals wrap mod `k`) is handled
 //!   by [`algorithms::break_fa`]: try each of the `d` edges incident to one
@@ -30,10 +30,16 @@
 //!   within `(d−1)/2` of the maximum (Theorem 3 / Corollary 1).
 //!
 //! The general-purpose baselines the paper compares against —
-//! Hopcroft–Karp ([`algorithms::hopcroft_karp`]) and Glover's convex
-//! bipartite algorithm ([`algorithms::glover`]) — are also provided, along
-//! with an augmenting-path oracle ([`algorithms::kuhn`]) used for
+//! Hopcroft–Karp ([`algorithms::hopcroft_karp()`]) and Glover's convex
+//! bipartite algorithm ([`algorithms::glover()`]) — are also provided, along
+//! with an augmenting-path oracle ([`algorithms::kuhn()`]) used for
 //! verification.
+//!
+//! Each algorithm has one public entry point. The compact per-slot
+//! schedulers write into a caller's buffer out of a [`ScratchArena`] and
+//! are certified through [`FiberScheduler::schedule_with_mask_checked`] and
+//! [`FiberScheduler::schedule_slot_checked`]; graph matchings are certified
+//! through [`MatchingCertificate`] (see [`verify`]).
 //!
 //! ## Quick example
 //!

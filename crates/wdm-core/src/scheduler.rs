@@ -10,7 +10,7 @@ use wdm_attr::{allow_reach, hot_path};
 
 use crate::algorithms::{
     approx_schedule_into, break_fa_schedule_into, fa_schedule_into, full_range_schedule_into,
-    hopcroft_karp_in, repair_schedule_into, Assignment, DEFAULT_REPAIR_BUDGET,
+    hopcroft_karp, repair_schedule_into, Assignment, BreakChoice, DEFAULT_REPAIR_BUDGET,
 };
 use crate::arena::ScratchArena;
 use crate::conversion::{Conversion, ConversionKind};
@@ -43,7 +43,7 @@ pub enum Policy {
 
 impl Policy {
     /// The stable short name used in CLI flags, trace files, and wire
-    /// frames. Round-trips through [`Policy::from_str`].
+    /// frames. Round-trips through [`str::parse`].
     pub const fn name(self) -> &'static str {
         match self {
             Policy::Auto => "auto",
@@ -115,15 +115,6 @@ impl Schedule {
     /// For approximate schedules, Theorem 3's bound on the lost throughput.
     pub fn approx_bound(&self) -> Option<usize> {
         self.approx_bound
-    }
-
-    /// Number of granted requests per input wavelength.
-    pub fn granted_per_wavelength(&self, k: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; k];
-        for a in &self.assignments {
-            counts[a.input] += 1;
-        }
-        counts
     }
 }
 
@@ -511,10 +502,27 @@ impl FiberScheduler {
         stats
     }
 
-    /// Debug builds run the full certificate on every slot: exact policies
-    /// (warm-repaired slots included) must produce a feasible *maximum*
-    /// matching (Theorems 1 and 2, Berge for the repair path), the
-    /// approximation must stay within its Theorem 3 bound.
+    /// The certificate every schedule must pass: exact policies
+    /// (warm-repaired slots included) a feasible *maximum* matching
+    /// (Theorems 1 and 2, Berge for the repair path), the approximation a
+    /// feasible schedule within its Theorem 3 bound.
+    fn certify(
+        &self,
+        requests: &RequestVector,
+        mask: &ChannelMask,
+        out: &[Assignment],
+        approx_bound: Option<usize>,
+    ) -> Result<(), Error> {
+        let conv = &self.conversion;
+        match approx_bound {
+            None => crate::verify::certify_assignments(conv, requests, mask, out),
+            Some(bound) => {
+                crate::verify::certify_assignments_within(conv, requests, mask, out, bound)
+            }
+        }
+    }
+
+    /// Debug builds run [`Self::certify`] on every slot.
     fn debug_certify(
         &self,
         requests: &RequestVector,
@@ -523,17 +531,7 @@ impl FiberScheduler {
         approx_bound: Option<usize>,
     ) {
         debug_assert!(
-            match approx_bound {
-                None => crate::verify::certify_assignments(&self.conversion, requests, mask, out),
-                Some(bound) => crate::verify::certify_assignments_within(
-                    &self.conversion,
-                    requests,
-                    mask,
-                    out,
-                    bound,
-                ),
-            }
-            .is_ok(),
+            self.certify(requests, mask, out, approx_bound).is_ok(),
             "scheduler produced an uncertifiable schedule under {:?}",
             self.policy
         );
@@ -551,25 +549,7 @@ impl FiberScheduler {
         arena: &mut ScratchArena,
     ) -> Result<SlotStats, Error> {
         let stats = self.schedule_slot(requests, mask, arena)?;
-        match stats.approx_bound {
-            None => {
-                crate::verify::certify_assignments(
-                    &self.conversion,
-                    requests,
-                    mask,
-                    &arena.assignments,
-                )?;
-            }
-            Some(bound) => {
-                crate::verify::certify_assignments_within(
-                    &self.conversion,
-                    requests,
-                    mask,
-                    &arena.assignments,
-                    bound,
-                )?;
-            }
-        }
+        self.certify(requests, mask, &arena.assignments, stats.approx_bound)?;
         Ok(stats)
     }
 
@@ -588,7 +568,14 @@ impl FiberScheduler {
                 if conv.is_full() {
                     full_range_schedule_into(conv, requests, mask, out)?;
                 } else if conv.kind() == ConversionKind::Circular {
-                    break_fa_schedule_into(conv, requests, mask, arena, out)?;
+                    break_fa_schedule_into(
+                        conv,
+                        requests,
+                        mask,
+                        BreakChoice::default(),
+                        arena,
+                        out,
+                    )?;
                 } else {
                     fa_schedule_into(conv, requests, mask, arena, out)?;
                 }
@@ -599,7 +586,7 @@ impl FiberScheduler {
                 Ok(None)
             }
             Policy::BreakFirstAvailable => {
-                break_fa_schedule_into(conv, requests, mask, arena, out)?;
+                break_fa_schedule_into(conv, requests, mask, BreakChoice::default(), arena, out)?;
                 Ok(None)
             }
             Policy::Approximate => {
@@ -607,7 +594,7 @@ impl FiberScheduler {
                 Ok(Some(stats.bound))
             }
             Policy::HopcroftKarp => {
-                self.hk_reference_into(requests, mask, arena, out)?;
+                self.hk_reference_into(requests, mask, out)?;
                 Ok(None)
             }
         }
@@ -624,11 +611,10 @@ impl FiberScheduler {
         &self,
         requests: &RequestVector,
         mask: &ChannelMask,
-        arena: &mut ScratchArena,
         out: &mut Vec<Assignment>,
     ) -> Result<(), Error> {
         let graph = RequestGraph::with_mask(self.conversion, requests, mask)?;
-        let matching = hopcroft_karp_in(&graph, arena);
+        let matching = hopcroft_karp(&graph);
         out.clear();
         out.extend(matching.pairs().into_iter().map(|(j, p)| Assignment {
             input: graph.wavelength_of(j),
@@ -647,25 +633,7 @@ impl FiberScheduler {
         mask: &ChannelMask,
     ) -> Result<Schedule, Error> {
         let schedule = self.schedule_with_mask(requests, mask)?;
-        match schedule.approx_bound {
-            None => {
-                crate::verify::certify_assignments(
-                    &self.conversion,
-                    requests,
-                    mask,
-                    &schedule.assignments,
-                )?;
-            }
-            Some(bound) => {
-                crate::verify::certify_assignments_within(
-                    &self.conversion,
-                    requests,
-                    mask,
-                    &schedule.assignments,
-                    bound,
-                )?;
-            }
-        }
+        self.certify(requests, mask, &schedule.assignments, schedule.approx_bound)?;
         Ok(schedule)
     }
 }
@@ -729,7 +697,6 @@ mod tests {
         assert_eq!(s.requested(), 4);
         assert_eq!(s.granted(), 2);
         assert_eq!(s.rejected(), 2);
-        assert_eq!(s.granted_per_wavelength(4), vec![1, 0, 1, 0]);
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   `max(δ(u)−1, d−δ(u))` of the maximum (Theorem 3), checked against the
 //!   Hopcroft–Karp size by [`certify_assignments_within`].
 //!
-//! The `*_checked` twins of the algorithm entry points (e.g.
-//! [`crate::algorithms::break_fa::break_fa_schedule_checked`]) run the
-//! algorithm and then its certificate, turning every theorem the
+//! [`crate::FiberScheduler::schedule_with_mask_checked`] and
+//! [`crate::FiberScheduler::schedule_slot_checked`] run a policy's
+//! scheduler and then its certificate, turning every theorem the
 //! implementation relies on into a runtime-checkable contract. The
 //! schedulers run the same certificates behind `debug_assert!` on the hot
 //! path, so debug builds self-verify at full coverage while release builds
@@ -275,8 +275,8 @@ pub fn lift_assignments(
 /// the same span.
 ///
 /// The schedulers trust `any_free_in_span`/`free_in_span` and the prefix
-/// tables on the hot path; this check keeps the `_checked` twins in lockstep
-/// with the bit-level kernels, so a drifted word mask fails certification
+/// tables on the hot path; this check keeps the certified entry points in
+/// lockstep with the bit-level kernels, so a drifted word mask fails certification
 /// instead of silently corrupting schedules.
 pub fn check_mask_kernels(conv: &Conversion, mask: &ChannelMask) -> Result<(), Error> {
     mask.check_integrity()?;
@@ -347,7 +347,16 @@ pub fn certify_assignments_within(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{break_fa_schedule, fa_schedule, kuhn};
+    use crate::algorithms::{break_fa_schedule_into, fa_schedule_into, kuhn, BreakChoice};
+    use crate::ScratchArena;
+
+    fn bfa(conv: &Conversion, rv: &RequestVector, mask: &ChannelMask) -> Vec<Assignment> {
+        let mut out = Vec::new();
+        let choice = BreakChoice::default();
+        break_fa_schedule_into(conv, rv, mask, choice, &mut ScratchArena::new(), &mut out)
+            .expect("schedules");
+        out
+    }
 
     fn paper_circular() -> (Conversion, RequestVector, RequestGraph) {
         let conv = Conversion::symmetric_circular(6, 3).expect("valid");
@@ -398,7 +407,7 @@ mod tests {
     fn lift_round_trips_compact_schedules() {
         let (conv, rv, g) = paper_circular();
         let mask = ChannelMask::all_free(6);
-        let a = break_fa_schedule(&conv, &rv, &mask).expect("schedules");
+        let a = bfa(&conv, &rv, &mask);
         let m = lift_assignments(&g, &a).expect("lifts");
         assert_eq!(m.size(), a.len());
         MatchingCertificate::new(&g, &m).check().expect("maximum");
@@ -417,7 +426,8 @@ mod tests {
         let conv = Conversion::non_circular(6, 1, 1).expect("valid");
         let rv = RequestVector::from_counts(vec![2, 1, 0, 1, 1, 2]).expect("valid");
         let mask = ChannelMask::with_occupied(6, &[2]).expect("valid");
-        let a = fa_schedule(&conv, &rv, &mask).expect("schedules");
+        let mut a = Vec::new();
+        fa_schedule_into(&conv, &rv, &mask, &mut ScratchArena::new(), &mut a).expect("schedules");
         certify_assignments(&conv, &rv, &mask, &a).expect("Theorem 1");
     }
 
@@ -425,7 +435,7 @@ mod tests {
     fn certify_rejects_truncated_schedule() {
         let (conv, rv, _g) = paper_circular();
         let mask = ChannelMask::all_free(6);
-        let mut a = break_fa_schedule(&conv, &rv, &mask).expect("schedules");
+        let mut a = bfa(&conv, &rv, &mask);
         a.pop();
         assert!(matches!(
             certify_assignments(&conv, &rv, &mask, &a),
@@ -437,7 +447,7 @@ mod tests {
     fn certify_within_accepts_gap_up_to_bound() {
         let (conv, rv, _g) = paper_circular();
         let mask = ChannelMask::all_free(6);
-        let mut a = break_fa_schedule(&conv, &rv, &mask).expect("schedules");
+        let mut a = bfa(&conv, &rv, &mask);
         a.pop();
         certify_assignments_within(&conv, &rv, &mask, &a, 1).expect("within 1");
         assert!(matches!(

@@ -1,30 +1,31 @@
-//! Differential battery: the arena-backed `*_into`/`*_in` entry points must
-//! be observationally identical to the allocating originals, and the
-//! compact schedulers must keep agreeing with the matching oracles.
+//! Differential battery: the arena-backed compact schedulers must give the
+//! same answer whatever state their arena is in, and must keep agreeing
+//! with the matching oracles.
 //!
 //! Two properties per algorithm family:
 //!
 //! * **Size agreement** — `|FA| == |Glover| == |Hopcroft–Karp|` on
 //!   non-circular instances and `|BFA| == |Hopcroft–Karp|` on circular
-//!   ones (the paper's Theorems 1 and 2, exercised through the new buffer
+//!   ones (the paper's Theorems 1 and 2, exercised through the buffer
 //!   reusing API).
-//! * **Bit-identity** — running an algorithm through a *dirty, reused*
-//!   [`ScratchArena`] yields exactly the same output (assignments, `MATCH`
-//!   arrays, matchings — not just equal sizes) as a fresh allocation. This
-//!   is what lets `FiberScheduler::schedule_slot` reuse one arena per fiber
-//!   for the lifetime of the interconnect.
+//! * **Bit-identity** — running a scheduler through a *dirty, reused*
+//!   [`ScratchArena`] and a stale output buffer yields exactly the same
+//!   output (assignments and stats — not just equal sizes) as a fresh
+//!   arena. This is what lets `FiberScheduler::schedule_slot` reuse one
+//!   arena per fiber for the lifetime of the interconnect.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use proptest::prelude::*;
 
+use std::fmt::Debug;
+
 use wdm_core::algorithms::{
-    approx_schedule, approx_schedule_into, break_fa_schedule, break_fa_schedule_into,
-    break_fa_schedule_with, break_fa_schedule_with_into, fa_schedule, fa_schedule_into,
-    first_available, first_available_into, full_range_schedule, full_range_schedule_into, glover,
-    glover_into, hopcroft_karp, hopcroft_karp_in, kuhn, kuhn_in, BreakChoice, ConvexInstance,
+    approx_schedule_into, break_fa_schedule_into, fa_schedule_into, first_available,
+    full_range_schedule_into, glover, hopcroft_karp, kuhn, repair_schedule_into, Assignment,
+    BreakChoice, ConvexInstance,
 };
-use wdm_core::{ChannelMask, Conversion, RequestGraph, RequestVector, ScratchArena};
+use wdm_core::{ChannelMask, Conversion, Error, RequestGraph, RequestVector, ScratchArena};
 
 #[derive(Debug, Clone)]
 struct Instance {
@@ -59,18 +60,36 @@ fn mask_of(inst: &Instance) -> ChannelMask {
 }
 
 /// A scratch arena that has been through unrelated work, so stale contents
-/// from other algorithms (and other instances) are present in every buffer.
+/// from other schedulers (and other instances) are present in every buffer.
 fn dirty_arena(k: usize) -> ScratchArena {
     let mut scratch = ScratchArena::for_k(k.min(3));
     let conv = Conversion::symmetric_circular(5, 3).unwrap();
     let rv = RequestVector::from_counts(vec![2, 0, 1, 3, 1]).unwrap();
     let mask = ChannelMask::all_free(5);
     let mut out = Vec::new();
-    break_fa_schedule_into(&conv, &rv, &mask, &mut scratch, &mut out).unwrap();
-    let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
-    let _ = hopcroft_karp_in(&g, &mut scratch);
-    let _ = kuhn_in(&g, &mut scratch);
+    let choice = BreakChoice::default();
+    break_fa_schedule_into(&conv, &rv, &mask, choice, &mut scratch, &mut out).unwrap();
+    let mut owner = vec![None; 5];
+    let _ = repair_schedule_into(&conv, &rv, &mask, &mut owner, 8, &mut scratch, &mut out);
+    let non_circular = Conversion::non_circular(5, 1, 1).unwrap();
+    fa_schedule_into(&non_circular, &rv, &mask, &mut scratch, &mut out).unwrap();
     scratch
+}
+
+/// Runs a compact scheduler through a fresh arena and again through `dirty`
+/// with a stale output buffer, asserts the two runs are bit-identical, and
+/// returns the fresh run's schedule and stats.
+fn fresh_and_reused<T: PartialEq + Debug>(
+    dirty: &mut ScratchArena,
+    run: impl Fn(&mut ScratchArena, &mut Vec<Assignment>) -> Result<T, Error>,
+) -> (Vec<Assignment>, T) {
+    let mut fresh_out = Vec::new();
+    let fresh = run(&mut ScratchArena::new(), &mut fresh_out).unwrap();
+    let mut reused_out = vec![Assignment { input: 0, output: 0 }; 3];
+    let reused = run(dirty, &mut reused_out).unwrap();
+    prop_assert_eq!(&reused_out, &fresh_out, "reused arena changed the schedule");
+    prop_assert_eq!(&reused, &fresh, "reused arena changed the stats");
+    (fresh_out, fresh)
 }
 
 /// Proptest sample size, shrunk under Miri: the interpreter runs each case
@@ -83,8 +102,8 @@ fn cases(native: u32) -> ProptestConfig {
 proptest! {
     #![proptest_config(cases(256))]
 
-    /// Non-circular: `|FA| == |Glover| == |Hopcroft–Karp|`, all through the
-    /// arena-backed entry points, plus arena-vs-fresh bit-identity for each.
+    /// Non-circular: `|FA| == |Glover| == |Hopcroft–Karp|`, plus
+    /// reused-vs-fresh arena bit-identity for FA.
     #[test]
     fn fa_glover_hk_agree_non_circular(inst in instance(20, 4)) {
         let conv = Conversion::non_circular(inst.k, inst.e, inst.f).unwrap();
@@ -92,30 +111,18 @@ proptest! {
         let mask = mask_of(&inst);
         let mut scratch = dirty_arena(inst.k);
 
-        let fresh_fa = fa_schedule(&conv, &rv, &mask).unwrap();
-        let mut arena_fa = Vec::new();
-        fa_schedule_into(&conv, &rv, &mask, &mut scratch, &mut arena_fa).unwrap();
-        prop_assert_eq!(&arena_fa, &fresh_fa, "FA arena vs fresh");
+        let (fa, ()) =
+            fresh_and_reused(&mut scratch, |s, o| fa_schedule_into(&conv, &rv, &mask, s, o));
 
         let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
         let ci = ConvexInstance::from_graph(&g);
-        let fresh_glover = glover(&ci);
-        let mut arena_glover = Vec::new();
-        glover_into(&ci, &mut scratch, &mut arena_glover);
-        prop_assert_eq!(&arena_glover, &fresh_glover, "Glover arena vs fresh");
-
-        let fresh_hk = hopcroft_karp(&g);
-        let arena_hk = hopcroft_karp_in(&g, &mut scratch);
-        prop_assert_eq!(&arena_hk, &fresh_hk, "HK arena vs fresh");
-
-        let glover_size = fresh_glover.iter().flatten().count();
-        prop_assert_eq!(fresh_fa.len(), glover_size, "|FA| == |Glover|");
-        prop_assert_eq!(glover_size, fresh_hk.size(), "|Glover| == |HK|");
+        let glover_size = glover(&ci).iter().flatten().count();
+        prop_assert_eq!(fa.len(), glover_size, "|FA| == |Glover|");
+        prop_assert_eq!(glover_size, hopcroft_karp(&g).size(), "|Glover| == |HK|");
     }
 
-    /// Circular: `|BFA| == |Hopcroft–Karp|` through the arena-backed entry
-    /// points, for both breaking-vertex policies, plus arena-vs-fresh
-    /// bit-identity.
+    /// Circular: `|BFA| == |Hopcroft–Karp|` for both breaking-vertex
+    /// policies, plus reused-vs-fresh arena bit-identity.
     #[test]
     fn bfa_hk_agree_circular(inst in instance(20, 4)) {
         let conv = Conversion::circular(inst.k, inst.e, inst.f).unwrap();
@@ -123,28 +130,19 @@ proptest! {
         let mask = mask_of(&inst);
         let mut scratch = dirty_arena(inst.k);
 
-        let fresh = break_fa_schedule(&conv, &rv, &mask).unwrap();
-        let mut arena_out = Vec::new();
-        break_fa_schedule_into(&conv, &rv, &mask, &mut scratch, &mut arena_out).unwrap();
-        prop_assert_eq!(&arena_out, &fresh, "BFA arena vs fresh");
-
-        let densest =
-            break_fa_schedule_with(&conv, &rv, &mask, BreakChoice::DensestWavelength).unwrap();
-        let mut arena_densest = Vec::new();
-        break_fa_schedule_with_into(
-            &conv, &rv, &mask, BreakChoice::DensestWavelength, &mut scratch, &mut arena_densest,
-        ).unwrap();
-        prop_assert_eq!(&arena_densest, &densest, "densest BFA arena vs fresh");
-
         let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
-        let oracle = hopcroft_karp_in(&g, &mut scratch).size();
-        prop_assert_eq!(fresh.len(), oracle, "|BFA| == |HK|");
-        prop_assert_eq!(densest.len(), oracle, "|densest BFA| == |HK|");
+        let oracle = hopcroft_karp(&g).size();
+        for choice in [BreakChoice::FirstRequest, BreakChoice::DensestWavelength] {
+            let (bfa, ()) = fresh_and_reused(&mut scratch, |s, o| {
+                break_fa_schedule_into(&conv, &rv, &mask, choice, s, o)
+            });
+            prop_assert_eq!(bfa.len(), oracle, "|BFA| == |HK| under {:?}", choice);
+        }
     }
 
-    /// Both geometries: the approximation and the matching oracles are
-    /// bit-identical between the arena and allocating paths; `kuhn_in`
-    /// agrees with `hopcroft_karp_in` on size.
+    /// Both geometries: the approximation is bit-identical (assignments,
+    /// δ and bound) between reused and fresh arenas; Kuhn agrees with
+    /// Hopcroft–Karp on size.
     #[test]
     fn approx_and_oracles_arena_vs_fresh(
         inst in instance(18, 4),
@@ -160,27 +158,16 @@ proptest! {
         let mut scratch = dirty_arena(inst.k);
 
         if circular {
-            let fresh = approx_schedule(&conv, &rv, &mask).unwrap();
-            let mut arena_out = Vec::new();
-            let stats = approx_schedule_into(&conv, &rv, &mask, &mut scratch, &mut arena_out)
-                .unwrap();
-            prop_assert_eq!(&arena_out, &fresh.assignments, "approx arena vs fresh");
-            prop_assert_eq!(stats.delta, fresh.delta);
-            prop_assert_eq!(stats.bound, fresh.bound);
+            fresh_and_reused(&mut scratch, |s, o| approx_schedule_into(&conv, &rv, &mask, s, o));
         }
 
         let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
-        let hk_fresh = hopcroft_karp(&g);
-        let hk_arena = hopcroft_karp_in(&g, &mut scratch);
-        prop_assert_eq!(&hk_arena, &hk_fresh, "HK arena vs fresh");
-        let kuhn_fresh = kuhn(&g);
-        let kuhn_arena = kuhn_in(&g, &mut scratch);
-        prop_assert_eq!(&kuhn_arena, &kuhn_fresh, "Kuhn arena vs fresh");
-        prop_assert_eq!(kuhn_arena.size(), hk_arena.size(), "|Kuhn| == |HK|");
+        prop_assert_eq!(kuhn(&g).size(), hopcroft_karp(&g).size(), "|Kuhn| == |HK|");
     }
 
-    /// The paper's `MATCH[]`-array form of First Available and the
-    /// full-range scheduler are bit-identical between paths too.
+    /// The paper's `MATCH[]`-array form of First Available matches the
+    /// compact scheduler's size, and the full-range scheduler ignores a
+    /// stale output buffer.
     #[test]
     fn match_arrays_arena_vs_fresh(inst in instance(18, 4)) {
         let conv = Conversion::non_circular(inst.k, inst.e, inst.f).unwrap();
@@ -190,16 +177,12 @@ proptest! {
 
         let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
         let ci = ConvexInstance::from_graph(&g);
-        let fresh = first_available(&ci);
-        let mut arena_out = Vec::new();
-        first_available_into(&ci, &mut scratch, &mut arena_out);
-        prop_assert_eq!(&arena_out, &fresh, "first_available arena vs fresh");
+        let (fa, ()) =
+            fresh_and_reused(&mut scratch, |s, o| fa_schedule_into(&conv, &rv, &mask, s, o));
+        prop_assert_eq!(first_available(&ci).iter().flatten().count(), fa.len());
 
         let full = Conversion::full(inst.k).unwrap();
-        let fresh_full = full_range_schedule(&full, &rv, &mask).unwrap();
-        let mut full_out = Vec::new();
-        full_range_schedule_into(&full, &rv, &mask, &mut full_out).unwrap();
-        prop_assert_eq!(&full_out, &fresh_full, "full-range into vs fresh");
+        fresh_and_reused(&mut scratch, |_, o| full_range_schedule_into(&full, &rv, &mask, o));
     }
 
     /// One arena serving many consecutive slots (the production shape) gives
@@ -213,10 +196,10 @@ proptest! {
             let conv = Conversion::circular(inst.k, inst.e, inst.f).unwrap();
             let rv = RequestVector::from_counts(inst.counts.clone()).unwrap();
             let mask = mask_of(inst);
-            let mut out = Vec::new();
-            break_fa_schedule_into(&conv, &rv, &mask, &mut reused, &mut out).unwrap();
-            let fresh = break_fa_schedule(&conv, &rv, &mask).unwrap();
-            prop_assert_eq!(&out, &fresh, "slot-to-slot reuse changed the schedule");
+            let choice = BreakChoice::default();
+            fresh_and_reused(&mut reused, |s, o| {
+                break_fa_schedule_into(&conv, &rv, &mask, choice, s, o)
+            });
         }
     }
 }

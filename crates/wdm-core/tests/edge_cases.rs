@@ -3,16 +3,26 @@
 //! Exercises the degenerate geometries and slot shapes the sweep never
 //! visits — `d >= k` (circular conversion covering the whole ring), `k = 1`,
 //! an empty slot, and a fiber offered more requests than channels — through
-//! both the plain entry points and their `*_checked` certificate twins.
+//! both the compact entry points and the certified `FiberScheduler` ones.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use wdm_core::algorithms::{
-    approx_schedule_checked, approx_schedule_into, break_fa_schedule_checked,
-    break_fa_schedule_into, fa_schedule_checked, fa_schedule_into, full_range_schedule_checked,
-    full_range_schedule_into,
+    approx_schedule_into, break_fa_schedule_into, fa_schedule_into, full_range_schedule_into,
+    Assignment, BreakChoice,
 };
 use wdm_core::{ChannelMask, Conversion, FiberScheduler, Policy, RequestVector, ScratchArena};
+
+/// The schedule `policy` produces through `schedule_with_mask_checked`.
+fn certified(
+    conv: Conversion,
+    policy: Policy,
+    rv: &RequestVector,
+    mask: &ChannelMask,
+) -> Vec<Assignment> {
+    let scheduler = FiberScheduler::new(conv, policy);
+    scheduler.schedule_with_mask_checked(rv, mask).unwrap().assignments().to_vec()
+}
 
 /// Runs one slot through `schedule_slot` and `schedule_slot_checked` with
 /// separate arenas, asserting the two agree, and returns the stats. Each
@@ -64,14 +74,15 @@ fn circular_degree_covering_ring_is_full_range() {
     // The compact schedulers agree through their direct entry points.
     let mut scratch = ScratchArena::for_k(k);
     let mut out = Vec::new();
-    break_fa_schedule_into(&conv, &rv, &mask, &mut scratch, &mut out).unwrap();
+    let choice = BreakChoice::default();
+    break_fa_schedule_into(&conv, &rv, &mask, choice, &mut scratch, &mut out).unwrap();
     assert_eq!(out.len(), free.min(rv.total()));
-    assert_eq!(break_fa_schedule_checked(&conv, &rv, &mask).unwrap(), out);
+    assert_eq!(certified(conv, Policy::BreakFirstAvailable, &rv, &mask), out);
     let stats = approx_schedule_into(&conv, &rv, &mask, &mut scratch, &mut out).unwrap();
     assert_eq!((stats.delta, stats.bound), (0, 0), "full-range approximation is exact");
-    assert_eq!(approx_schedule_checked(&conv, &rv, &mask).unwrap().assignments, out);
+    assert_eq!(certified(conv, Policy::Approximate, &rv, &mask), out);
     full_range_schedule_into(&conv, &rv, &mask, &mut out).unwrap();
-    assert_eq!(full_range_schedule_checked(&conv, &rv, &mask).unwrap(), out);
+    assert_eq!(certified(conv, Policy::Auto, &rv, &mask), out);
 }
 
 /// `k = 1`: a single wavelength, where non-circular conversion is the
@@ -101,7 +112,7 @@ fn single_wavelength_fiber() {
     let mut out = Vec::new();
     fa_schedule_into(&non_circ, &rv, &mask, &mut scratch, &mut out).unwrap();
     assert_eq!(out.len(), 1);
-    assert_eq!(fa_schedule_checked(&non_circ, &rv, &mask).unwrap(), out);
+    assert_eq!(certified(non_circ, Policy::FirstAvailable, &rv, &mask), out);
 }
 
 /// An empty slot (no requests at all) grants nothing and leaves the arena's

@@ -23,7 +23,7 @@
 
 use proptest::prelude::*;
 
-use wdm_core::algorithms::hopcroft_karp_in;
+use wdm_core::algorithms::hopcroft_karp;
 use wdm_core::{
     ChannelMask, Conversion, FiberScheduler, Policy, RequestGraph, RequestVector, ScratchArena,
     SlotPath,
@@ -105,7 +105,6 @@ fn assert_warm_matches_cold(
     let mut warm = FiberScheduler::new(conv, policy);
     let cold = FiberScheduler::new(conv, policy);
     let mut arena = ScratchArena::for_k(seq.k);
-    let mut oracle_arena = ScratchArena::for_k(seq.k);
     let mut counts = seq.counts.clone();
     let mut free = seq.free.clone();
     for slot in 0..seq.slots.len() {
@@ -124,7 +123,7 @@ fn assert_warm_matches_cold(
         );
 
         let g = RequestGraph::with_mask(conv, &rv, &mask).unwrap();
-        let oracle = hopcroft_karp_in(&g, &mut oracle_arena).size();
+        let oracle = hopcroft_karp(&g).size();
         prop_assert_eq!(stats.granted, oracle, "slot {}: warm granted != |HK|", slot);
     }
     let w = warm.warm_stats();

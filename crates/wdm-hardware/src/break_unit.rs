@@ -187,7 +187,8 @@ mod tests {
 
     /// (k, e, f, counts, occupied-channels) test case.
     type OccupiedCase = (usize, usize, usize, Vec<usize>, Vec<usize>);
-    use wdm_core::algorithms::{break_fa_schedule, validate_assignments};
+    use wdm_core::algorithms::{break_fa_schedule_into, validate_assignments, BreakChoice};
+    use wdm_core::ScratchArena;
 
     #[test]
     fn matches_software_bfa_on_paper_example() {
@@ -221,7 +222,10 @@ mod tests {
             let unit = BreakFaUnit::new(conv).unwrap();
             let hw = unit.run(&rv, &mask).unwrap();
             validate_assignments(&conv, &rv, &mask, &hw.assignments).unwrap();
-            let sw = break_fa_schedule(&conv, &rv, &mask).unwrap();
+            let mut sw = Vec::new();
+            let choice = BreakChoice::default();
+            break_fa_schedule_into(&conv, &rv, &mask, choice, &mut ScratchArena::new(), &mut sw)
+                .unwrap();
             assert_eq!(
                 hw.assignments.len(),
                 sw.len(),

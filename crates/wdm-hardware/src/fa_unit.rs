@@ -88,7 +88,14 @@ mod tests {
 
     /// (k, e, f, counts, occupied-channels) test case.
     type OccupiedCase = (usize, usize, usize, Vec<usize>, Vec<usize>);
-    use wdm_core::algorithms::{fa_schedule, validate_assignments};
+    use wdm_core::algorithms::{fa_schedule_into, validate_assignments};
+    use wdm_core::ScratchArena;
+
+    fn fa_schedule(conv: &Conversion, rv: &RequestVector, mask: &ChannelMask) -> Vec<Assignment> {
+        let mut out = Vec::new();
+        fa_schedule_into(conv, rv, mask, &mut ScratchArena::new(), &mut out).unwrap();
+        out
+    }
 
     fn sorted(mut a: Vec<Assignment>) -> Vec<(usize, usize)> {
         let mut v: Vec<(usize, usize)> = a.drain(..).map(|x| (x.input, x.output)).collect();
@@ -103,7 +110,7 @@ mod tests {
         let mask = ChannelMask::all_free(6);
         let unit = FirstAvailableUnit::new(conv).unwrap();
         let hw = unit.run(&rv, &mask).unwrap();
-        let sw = fa_schedule(&conv, &rv, &mask).unwrap();
+        let sw = fa_schedule(&conv, &rv, &mask);
         assert_eq!(sorted(hw.assignments.clone()), sorted(sw));
         assert_eq!(hw.cycles, 6, "exactly k cycles");
         validate_assignments(&conv, &rv, &mask, &hw.assignments).unwrap();
@@ -125,7 +132,7 @@ mod tests {
             let mask = ChannelMask::with_occupied(k, &occupied).unwrap();
             let unit = FirstAvailableUnit::new(conv).unwrap();
             let hw = unit.run(&rv, &mask).unwrap();
-            let sw = fa_schedule(&conv, &rv, &mask).unwrap();
+            let sw = fa_schedule(&conv, &rv, &mask);
             assert_eq!(
                 sorted(hw.assignments),
                 sorted(sw),

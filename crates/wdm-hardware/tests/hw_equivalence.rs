@@ -6,8 +6,10 @@
 
 use proptest::prelude::*;
 
-use wdm_core::algorithms::{break_fa_schedule, fa_schedule, validate_assignments};
-use wdm_core::{ChannelMask, Conversion, FiberScheduler, Policy, RequestVector};
+use wdm_core::algorithms::{
+    break_fa_schedule_into, fa_schedule_into, validate_assignments, BreakChoice,
+};
+use wdm_core::{ChannelMask, Conversion, FiberScheduler, Policy, RequestVector, ScratchArena};
 use wdm_hardware::{BreakFaUnit, FirstAvailableUnit, HardwareScheduler, RequestRegister};
 
 #[derive(Debug, Clone)]
@@ -60,7 +62,8 @@ proptest! {
         let mask = mask_of(&inst);
         let unit = FirstAvailableUnit::new(conv).unwrap();
         let hw = unit.run(&rv, &mask).unwrap();
-        let sw = fa_schedule(&conv, &rv, &mask).unwrap();
+        let mut sw = Vec::new();
+        fa_schedule_into(&conv, &rv, &mask, &mut ScratchArena::new(), &mut sw).unwrap();
         prop_assert_eq!(sorted(&hw.assignments), sorted(&sw));
         prop_assert_eq!(hw.cycles, inst.k);
     }
@@ -75,7 +78,10 @@ proptest! {
         let unit = BreakFaUnit::new(conv).unwrap();
         let hw = unit.run(&rv, &mask).unwrap();
         validate_assignments(&conv, &rv, &mask, &hw.assignments).unwrap();
-        let sw = break_fa_schedule(&conv, &rv, &mask).unwrap();
+        let mut sw = Vec::new();
+        let choice = BreakChoice::default();
+        break_fa_schedule_into(&conv, &rv, &mask, choice, &mut ScratchArena::new(), &mut sw)
+            .unwrap();
         prop_assert_eq!(hw.assignments.len(), sw.len());
     }
 

@@ -280,13 +280,14 @@ mod tests {
     fn limited_dp_matches_monte_carlo() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        use wdm_core::algorithms::fa_schedule;
-        use wdm_core::{ChannelMask, Conversion, RequestVector};
+        use wdm_core::algorithms::fa_schedule_into;
+        use wdm_core::{ChannelMask, Conversion, RequestVector, ScratchArena};
 
         let (n, k, e, f) = (4usize, 8usize, 1usize, 1usize);
         let conv = Conversion::non_circular(k, e, f).unwrap();
         let mask = ChannelMask::all_free(k);
         let mut rng = StdRng::seed_from_u64(314);
+        let (mut scratch, mut grants) = (ScratchArena::for_k(k), Vec::new());
         for p in [0.3, 0.7, 1.0] {
             let exact = limited_non_circular_fiber_throughput(n, k, p, e, f);
             let trials = 40_000;
@@ -301,7 +302,8 @@ mod tests {
                         }
                     }
                 }
-                total += fa_schedule(&conv, &rv, &mask).unwrap().len();
+                fa_schedule_into(&conv, &rv, &mask, &mut scratch, &mut grants).unwrap();
+                total += grants.len();
             }
             let mc = total as f64 / trials as f64;
             assert!((mc - exact).abs() < 0.05, "p={p}: Monte Carlo {mc:.4} vs exact DP {exact:.4}");

@@ -10,14 +10,14 @@
 //! `#[doc = "…"]` attributes, so block docs and `#[doc]` spellings count
 //! too.
 
-use super::{twins, SourceFile, Violation};
+use super::{certified, SourceFile, Violation};
 
 /// The tag every algorithm entry point's docs must contain.
 pub const TAG: &str = "Paper:";
 
 /// Runs the doc-tag audit over the algorithm sources.
 pub fn check(sources: &[&SourceFile], out: &mut Vec<Violation>) {
-    for (source, ctx) in twins::entry_points(sources) {
+    for (source, ctx) in certified::entry_points(sources) {
         let tagged = ctx
             .fun
             .attrs

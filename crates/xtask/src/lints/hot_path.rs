@@ -4,10 +4,9 @@
 //! of calls, across every workspace crate.
 //!
 //! The v1 pass resolved one level of *same-file* callees, so an allocation
-//! two calls deep — or one module away — was invisible
-//! ([`shallow`](super::shallow) preserves that scanner test-only, with
-//! regression tests pinning exactly those false negatives). v2 is a thin
-//! query over the whole-workspace call graph ([`crate::callgraph`]): from
+//! two calls deep — or one module away — was invisible (the unit tests
+//! below and the `tests/fixtures/hot_path` snapshot pin both cases). v2 is
+//! a thin query over the whole-workspace call graph ([`crate::callgraph`]): from
 //! every root, every reachable [`Property::Alloc`], [`Property::Lock`], and
 //! [`Property::Block`] offense is reported with the witnessing call chain.
 //!
@@ -113,8 +112,7 @@ mod tests {
 
     #[test]
     fn allocation_two_calls_deep_is_caught() {
-        // hot -> near -> far: the v1 one-level scanner missed this
-        // (see shallow.rs for the pinned false negative).
+        // hot -> near -> far: the v1 one-level scanner missed this.
         let src = "#[hot_path]\n\
                    fn hot() { near(); }\n\
                    fn near() { far(); }\n\

@@ -11,7 +11,7 @@
 //! | module | lint |
 //! |--------|------|
 //! | [`banned`] | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`dbg!`/`unsafe` in library code |
-//! | [`twins`] | every public algorithm entry point has a `_checked` certificate twin |
+//! | [`certified`] | every public algorithm entry point is called by the certificate battery, and every `Policy` runs there through both certified `FiberScheduler` entry points |
 //! | [`casts`] | no narrowing `as` casts (to sub-64-bit integers) in library code |
 //! | [`must_use`] | certificate/matching/slot result types and entry points are `#[must_use]` |
 //! | [`doc_tags`] | every algorithm entry point cites the paper (`Paper: …` doc tag) |
@@ -33,18 +33,14 @@
 
 pub mod banned;
 pub mod casts;
+pub mod certified;
 pub mod channels;
 pub mod doc_tags;
 pub mod hot_path;
-#[cfg(test)]
-pub mod legacy;
 pub mod lock_order;
 pub mod must_use;
 pub mod panic_free;
 pub mod report;
-#[cfg(test)]
-pub mod shallow;
-pub mod twins;
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -72,9 +68,15 @@ pub const LIBRARY_CRATES: [&str; 9] = [
 /// the per-file lints but its functions are still reachability targets.
 pub const GRAPH_ONLY_CRATES: [&str; 1] = ["wdm-alloc-count"];
 
-/// Directory holding the algorithm modules checked by [`twins`],
+/// Directory holding the algorithm modules checked by [`certified`],
 /// [`doc_tags`], and [`must_use`]'s entry-point rule.
 pub const ALGORITHMS_DIR: &str = "crates/wdm-core/src/algorithms";
+
+/// The certificate battery [`certified`] reads.
+pub const CERTIFICATE_BATTERY: &str = "crates/wdm-core/tests/proptests.rs";
+
+/// The source declaring the `Policy` enum [`certified`] reads.
+pub const POLICY_SOURCE: &str = "crates/wdm-core/src/scheduler.rs";
 
 /// Everything `run_passes` needs to know about the tree it lints — the
 /// fixture suite swaps in miniature workspaces through this.
@@ -84,8 +86,11 @@ pub struct LintConfig<'a> {
     pub crates: &'a [&'a str],
     /// Extra crates parsed only into the call graph.
     pub graph_only_crates: &'a [&'a str],
-    /// Root-relative algorithms directory for the twins/doc-tag audits.
+    /// Root-relative algorithms directory for the certified/doc-tag audits.
     pub algorithms_dir: &'a str,
+    /// Root-relative certificate battery and `Policy` source for the
+    /// [`certified`] audit; `None` for a tree that has neither.
+    pub certified: Option<(&'a str, &'a str)>,
 }
 
 impl LintConfig<'_> {
@@ -95,6 +100,7 @@ impl LintConfig<'_> {
             crates: &LIBRARY_CRATES,
             graph_only_crates: &GRAPH_ONLY_CRATES,
             algorithms_dir: ALGORITHMS_DIR,
+            certified: Some((CERTIFICATE_BATTERY, POLICY_SOURCE)),
         }
     }
 }
@@ -365,8 +371,10 @@ pub fn run_passes(root: &Path, cfg: &LintConfig<'_>) -> LintRun {
     let algorithms_dir = root.join(cfg.algorithms_dir);
     let algorithms: Vec<&SourceFile> =
         sources.iter().filter(|s| s.path.starts_with(&algorithms_dir)).collect();
-    timed("twins", &mut violations, &mut passes, &mut |out| {
-        twins::check(&algorithms, out);
+    timed("certified", &mut violations, &mut passes, &mut |out| {
+        if let Some(paths) = cfg.certified {
+            certified::check_tree(root, paths, &sources, &algorithms, out);
+        }
     });
     timed("doc_tags", &mut violations, &mut passes, &mut |out| {
         doc_tags::check(&algorithms, out);
@@ -531,7 +539,7 @@ pub fn run(root: &Path, json: bool) -> bool {
     }
     if run.violations.is_empty() {
         say(&format!(
-            "lint: {} files clean across banned/twins/casts/must_use/doc_tags/hot_path/\
+            "lint: {} files clean across banned/certified/casts/must_use/doc_tags/hot_path/\
              lock_order/panic_free/channels/suppression",
             run.files
         ));

@@ -14,13 +14,12 @@
 
 use syn::Item;
 
-use super::{twins, SourceFile, Violation};
+use super::{certified, SourceFile, Violation};
 
 /// Result types whose declarations must be `#[must_use]`.
-pub const MUST_USE_TYPES: [&str; 10] = [
+pub const MUST_USE_TYPES: [&str; 9] = [
     "MatchingCertificate",
     "Matching",
-    "ApproxOutcome",
     "RepairOutcome",
     "SlotStats",
     "SlotResult",
@@ -65,7 +64,7 @@ fn check_types_in(items: &[Item], source: &SourceFile, out: &mut Vec<Violation>)
 
 /// Rule 2: algorithm entry points.
 pub fn check_entry_fns(sources: &[&SourceFile], out: &mut Vec<Violation>) {
-    for (source, ctx) in twins::entry_points(sources) {
+    for (source, ctx) in certified::entry_points(sources) {
         let output = &ctx.fun.sig.output;
         // `-> ()` (no output tokens): an `_into`-style writer whose effect
         // is the out-parameter — `#[must_use]` would misfire on every call.

@@ -27,8 +27,8 @@
 //!
 //! The AST lint pass replaced the original line-based string scanner, which
 //! was blind to block comments, raw strings, `unsafe{` without a trailing
-//! space, and multi-line calls; `lints/legacy.rs` keeps the old scanner
-//! test-only with regression tests pinning exactly those failure modes.
+//! space, and multi-line calls; the `lints/banned.rs` unit tests pin exactly
+//! those cases.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};

@@ -20,9 +20,10 @@ fn run_fixture(name: &str, crates: &[&str]) -> LintRun {
     let cfg = LintConfig {
         crates,
         graph_only_crates: &[],
-        // No algorithms directory in the fixtures: the twins/doc-tag
-        // audits see an empty set and stay quiet.
+        // No algorithms directory or certificate battery in the fixtures:
+        // the certified/doc-tag audits see an empty set and stay quiet.
         algorithms_dir: "crates/none/src/algorithms",
+        certified: None,
     };
     run_passes(&fixture_root(name), &cfg)
 }
@@ -119,6 +120,7 @@ fn json_report_matches_snapshot() {
         crates: &["fix-serve", "fix-core"],
         graph_only_crates: &[],
         algorithms_dir: "crates/none/src/algorithms",
+        certified: None,
     };
     let run = run_passes(&root, &cfg);
     let rendered = report::to_json(&run, &root, true);

@@ -10,13 +10,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wdm_optical::core::algorithms::{approx_schedule, break_fa_schedule};
-use wdm_optical::core::{ChannelMask, Conversion, RequestVector};
+use wdm_optical::core::algorithms::{approx_schedule_into, break_fa_schedule_into, BreakChoice};
+use wdm_optical::core::{ChannelMask, Conversion, RequestVector, ScratchArena};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(2003);
     let k = 16;
     let trials = 20_000;
+    let (mut scratch, mut grants) = (ScratchArena::for_k(k), Vec::new());
 
     println!("single-break approximation vs optimal BFA, k={k}, {trials} random slots\n");
     println!(
@@ -35,9 +36,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let counts: Vec<usize> =
                 (0..k).map(|_| rng.gen_range(0..=3) * usize::from(rng.gen_bool(0.6))).collect();
             let rv = RequestVector::from_counts(counts)?;
-            let opt = break_fa_schedule(&conv, &rv, &mask)?.len();
-            let out = approx_schedule(&conv, &rv, &mask)?;
-            let approx = out.assignments.len();
+            let choice = BreakChoice::default();
+            break_fa_schedule_into(&conv, &rv, &mask, choice, &mut scratch, &mut grants)?;
+            let opt = grants.len();
+            approx_schedule_into(&conv, &rv, &mask, &mut scratch, &mut grants)?;
+            let approx = grants.len();
             assert!(approx <= opt);
             assert!(
                 approx + bound >= opt,

@@ -21,8 +21,8 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wdm_optical::core::algorithms::{break_fa_schedule, hopcroft_karp};
-use wdm_optical::core::{ChannelMask, Conversion, RequestGraph, RequestVector};
+use wdm_optical::core::algorithms::{break_fa_schedule_into, hopcroft_karp, BreakChoice};
+use wdm_optical::core::{ChannelMask, Conversion, RequestGraph, RequestVector, ScratchArena};
 use wdm_optical::interconnect::{ConnectionRequest, Interconnect, InterconnectConfig};
 
 fn main() {
@@ -37,6 +37,7 @@ fn part1_per_fiber_cost() {
     let conv = Conversion::symmetric_circular(k, 3).expect("valid conversion");
     let mask = ChannelMask::all_free(k);
     let iters = 2_000;
+    let (mut scratch, mut grants) = (ScratchArena::for_k(k), Vec::new());
     println!("part 1: one hot output fiber, k={k}, d=3, all N·k input channels requesting\n");
     println!("{:>5} {:>16} {:>16} {:>10}", "N", "BFA O(dk) (µs)", "Hopcroft-Karp (µs)", "ratio");
     for n in [4usize, 16, 64, 256] {
@@ -44,7 +45,9 @@ fn part1_per_fiber_cost() {
 
         let start = Instant::now();
         for _ in 0..iters {
-            let grants = break_fa_schedule(&conv, &rv, &mask).expect("schedules");
+            let choice = BreakChoice::default();
+            break_fa_schedule_into(&conv, &rv, &mask, choice, &mut scratch, &mut grants)
+                .expect("schedules");
             assert_eq!(grants.len(), k);
         }
         let bfa = start.elapsed().as_secs_f64() * 1e6 / iters as f64;

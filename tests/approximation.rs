@@ -7,8 +7,25 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use wdm_optical::core::algorithms::{approx_schedule, break_fa_schedule};
-use wdm_optical::core::{ChannelMask, Conversion, RequestVector};
+use wdm_optical::core::algorithms::{
+    approx_schedule_into, break_fa_schedule_into, ApproxStats, BreakChoice,
+};
+use wdm_optical::core::{ChannelMask, Conversion, RequestVector, ScratchArena};
+
+/// Schedules one slot exactly (Break and First Available) and with the
+/// approximation: `(optimal size, approximate size, approximation stats)`.
+fn exact_and_approx(
+    conv: &Conversion,
+    rv: &RequestVector,
+    mask: &ChannelMask,
+) -> (usize, usize, ApproxStats) {
+    let (mut scratch, mut out) = (ScratchArena::new(), Vec::new());
+    let choice = BreakChoice::default();
+    break_fa_schedule_into(conv, rv, mask, choice, &mut scratch, &mut out).unwrap();
+    let optimal = out.len();
+    let stats = approx_schedule_into(conv, rv, mask, &mut scratch, &mut out).unwrap();
+    (optimal, out.len(), stats)
+}
 
 /// Iterates all count vectors of length `k` with entries `0..=max`.
 fn count_vectors(k: usize, max: usize) -> impl Iterator<Item = Vec<usize>> {
@@ -32,9 +49,8 @@ fn gap_of_one_is_achievable_for_d3_and_never_exceeded() {
     let mut achieving: Option<Vec<usize>> = None;
     for counts in count_vectors(6, 2) {
         let rv = RequestVector::from_counts(counts.clone()).unwrap();
-        let optimal = break_fa_schedule(&conv, &rv, &mask).unwrap().len();
-        let out = approx_schedule(&conv, &rv, &mask).unwrap();
-        let gap = optimal - out.assignments.len();
+        let (optimal, approx, out) = exact_and_approx(&conv, &rv, &mask);
+        let gap = optimal - approx;
         assert!(gap <= out.bound, "Theorem 3 violated at {counts:?}");
         assert!(out.bound <= 1, "Corollary 1: bound is (d−1)/2 = 1 for d = 3");
         if gap > max_gap {
@@ -46,8 +62,7 @@ fn gap_of_one_is_achievable_for_d3_and_never_exceeded() {
     let counts = achieving.expect("found an achieving instance");
     // Re-verify the witness explicitly.
     let rv = RequestVector::from_counts(counts).unwrap();
-    let optimal = break_fa_schedule(&conv, &rv, &mask).unwrap().len();
-    let approx = approx_schedule(&conv, &rv, &mask).unwrap().assignments.len();
+    let (optimal, approx, _) = exact_and_approx(&conv, &rv, &mask);
     assert_eq!(optimal - approx, 1);
 }
 
@@ -58,7 +73,7 @@ fn larger_degrees_report_larger_bounds() {
     let mut last = 0usize;
     for d in [3usize, 5, 7, 9] {
         let conv = Conversion::symmetric_circular(16, d).unwrap();
-        let out = approx_schedule(&conv, &rv, &mask).unwrap();
+        let (_, _, out) = exact_and_approx(&conv, &rv, &mask);
         assert_eq!(out.bound, (d - 1) / 2);
         assert!(out.bound >= last);
         last = out.bound;
@@ -71,7 +86,7 @@ fn asymmetric_reach_bound_uses_best_edge() {
     // max(e+t, f−t) = {2, 1, 2} → best bound 1 at t = 1.
     let conv = Conversion::circular(9, 0, 2).unwrap();
     let rv = RequestVector::from_counts(vec![1, 1, 1, 0, 0, 0, 0, 0, 0]).unwrap();
-    let out = approx_schedule(&conv, &rv, &ChannelMask::all_free(9)).unwrap();
+    let (_, _, out) = exact_and_approx(&conv, &rv, &ChannelMask::all_free(9));
     assert_eq!(out.bound, 1);
     assert_eq!(out.delta, 2, "δ(u) = e + t + 1 = 2");
 }
@@ -87,8 +102,9 @@ fn approximation_quality_under_sustained_load() {
     for seed in 0..500usize {
         let counts: Vec<usize> = (0..k).map(|w| (seed * 7 + w * 13) % 3).collect();
         let rv = RequestVector::from_counts(counts).unwrap();
-        opt_total += break_fa_schedule(&conv, &rv, &mask).unwrap().len();
-        approx_total += approx_schedule(&conv, &rv, &mask).unwrap().assignments.len();
+        let (optimal, approx, _) = exact_and_approx(&conv, &rv, &mask);
+        opt_total += optimal;
+        approx_total += approx;
     }
     assert!(approx_total <= opt_total);
     let shortfall = (opt_total - approx_total) as f64 / opt_total as f64;

@@ -9,9 +9,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use wdm_optical::core::algorithms::{
-    approx_schedule, break_fa_schedule, fa_schedule, kuhn, validate_assignments,
+    approx_schedule_into, break_fa_schedule_into, fa_schedule_into, kuhn, validate_assignments,
+    BreakChoice,
 };
-use wdm_optical::core::{ChannelMask, Conversion, RequestGraph, RequestVector};
+use wdm_optical::core::{ChannelMask, Conversion, RequestGraph, RequestVector, ScratchArena};
 
 /// Iterates all count vectors of length `k` with entries `0..=max`.
 fn count_vectors(k: usize, max: usize) -> impl Iterator<Item = Vec<usize>> {
@@ -41,16 +42,18 @@ fn check_instance(conv: Conversion, counts: &[usize], mask: &ChannelMask) {
             mask.free_channels()
         )
     };
+    let (mut scratch, mut a) = (ScratchArena::new(), Vec::new());
     if conv.is_circular() {
-        let a = break_fa_schedule(&conv, &rv, mask).unwrap();
+        let choice = BreakChoice::default();
+        break_fa_schedule_into(&conv, &rv, mask, choice, &mut scratch, &mut a).unwrap();
         validate_assignments(&conv, &rv, mask, &a).unwrap();
         assert_eq!(a.len(), optimal, "BFA suboptimal: {}", ctx());
-        let out = approx_schedule(&conv, &rv, mask).unwrap();
-        validate_assignments(&conv, &rv, mask, &out.assignments).unwrap();
-        assert!(out.assignments.len() <= optimal, "approx overshoot: {}", ctx());
-        assert!(out.assignments.len() + out.bound >= optimal, "Theorem 3 violated: {}", ctx());
+        let out = approx_schedule_into(&conv, &rv, mask, &mut scratch, &mut a).unwrap();
+        validate_assignments(&conv, &rv, mask, &a).unwrap();
+        assert!(a.len() <= optimal, "approx overshoot: {}", ctx());
+        assert!(a.len() + out.bound >= optimal, "Theorem 3 violated: {}", ctx());
     } else {
-        let a = fa_schedule(&conv, &rv, mask).unwrap();
+        fa_schedule_into(&conv, &rv, mask, &mut scratch, &mut a).unwrap();
         validate_assignments(&conv, &rv, mask, &a).unwrap();
         assert_eq!(a.len(), optimal, "FA suboptimal: {}", ctx());
     }
