@@ -720,7 +720,7 @@ fn serve_reservation_slot_loop_is_allocation_free() {
 /// a scenario plan strikes a converter failure and a fiber outage before
 /// the window opens and keeps both disruptions (and the engaged
 /// BFA→approx fallback) in force across every measured slot. The
-/// [`wdm_serve::ScenarioRuntime::before_slot`] call rides in the loop —
+/// [`wdm_serve::SlotEngine::step_plan`] call rides in the loop —
 /// after the strike edges, its event cursor peeks past-the-end and the
 /// fallback controller holds its engaged state, so the steady disrupted
 /// slot touches no heap: submissions toward the dark fiber deny, the
@@ -733,7 +733,7 @@ fn serve_reservation_slot_loop_is_allocation_free() {
 /// Called from the single `#[test]` above — the counters are process-global.
 fn serve_scenario_slot_loop_is_allocation_free() {
     use wdm_serve::protocol::SubmitRequest;
-    use wdm_serve::{EngineConfig, ScenarioRuntime, SlotEngine};
+    use wdm_serve::{EngineConfig, SlotEngine};
 
     const N: usize = 4;
     const K: usize = 32;
@@ -803,8 +803,8 @@ on_disruption = true
 
     let mut engine =
         SlotEngine::new(EngineConfig::new(N, plan.conversion(), plan.policy())).unwrap();
-    let mut rt = ScenarioRuntime::new(std::sync::Arc::clone(&plan), &engine)
-        .expect("plan matches the engine topology");
+    let mut driver =
+        engine.attach_plan(std::sync::Arc::clone(&plan)).expect("plan matches the engine topology");
     let mut out = Vec::new();
     let mut rng = Rng(0x5EED_0004);
     let mut next_id = 0u64;
@@ -829,11 +829,11 @@ on_disruption = true
         }
     }
     out.clear();
-    rt.before_slot(&mut engine, 0, &mut out);
+    engine.step_plan(&mut driver, 0, &mut out);
     grants += engine.run_slot(&mut out).grants;
     for _ in 0..3 {
         out.clear();
-        rt.before_slot(&mut engine, 0, &mut out);
+        engine.step_plan(&mut driver, 0, &mut out);
         grants += engine.run_slot(&mut out).grants;
     }
     for dst in 0..N {
@@ -851,16 +851,16 @@ on_disruption = true
             }
         }
         out.clear();
-        rt.before_slot(&mut engine, 0, &mut out);
+        engine.step_plan(&mut driver, 0, &mut out);
         grants += engine.run_slot(&mut out).grants;
     }
     for _ in 0..WARMUP {
         submit_slot(&mut engine, &mut rng, &mut next_id);
         out.clear();
-        rt.before_slot(&mut engine, 0, &mut out);
+        engine.step_plan(&mut driver, 0, &mut out);
         grants += engine.run_slot(&mut out).grants;
     }
-    assert!(rt.engaged(), "the fallback must be engaged across the window");
+    assert!(driver.engaged(), "the fallback must be engaged across the window");
     assert_eq!(
         engine.policy(),
         wdm_core::Policy::Approximate,
@@ -872,15 +872,15 @@ on_disruption = true
     for _ in 0..MEASURED {
         submit_slot(&mut engine, &mut rng, &mut next_id);
         out.clear();
-        rt.before_slot(&mut engine, 0, &mut out);
+        engine.step_plan(&mut driver, 0, &mut out);
         grants += engine.run_slot(&mut out).grants;
     }
     ALLOC.trap_backtraces(false);
     let events = ALLOC.heap_events() - before;
 
     assert!(grants > 0, "scenario pin: workload must grant through the degraded fabric");
-    assert!(rt.engaged(), "the fallback must still be engaged after the window");
-    assert_eq!(rt.summary().events_applied, 2, "only the strike edges fire inside this run");
+    assert!(driver.engaged(), "the fallback must still be engaged after the window");
+    assert_eq!(driver.summary().events_applied, 2, "only the strike edges fire inside this run");
     if cfg!(debug_assertions) {
         return;
     }

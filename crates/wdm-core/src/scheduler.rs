@@ -167,6 +167,7 @@ impl SlotStats {
 /// many slots were repaired, fell back, or ran cold. Reset with
 /// [`FiberScheduler::reset_warm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WarmStats {
     /// Slots whose schedule was repaired from the previous slot's matching.
     pub repaired: u64,

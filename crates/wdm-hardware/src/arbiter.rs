@@ -2,7 +2,7 @@
 //!
 //! "If there are more than one packets on this input wavelength, to ensure
 //! fairness, a random selecting or a round-robin scheduling procedure should
-//! be adopted as suggested in [7][8]" — the iSLIP-style rotating-priority
+//! be adopted as suggested in \[7\]\[8\]" — the iSLIP-style rotating-priority
 //! arbiter. One arbiter per input wavelength selects which *fiber*'s packet
 //! takes a granted wavelength slot; the pointer advances past the grantee so
 //! repeated contention is served in rotation.

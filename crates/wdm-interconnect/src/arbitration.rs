@@ -5,7 +5,7 @@
 //! requests on the same wavelength are interchangeable for throughput. This
 //! module picks *which* requests win, with per-(output fiber, wavelength)
 //! round-robin pointers over the source fibers for long-run fairness
-//! (paper §III, following iSLIP [7][8]).
+//! (paper §III, following iSLIP \[7\]\[8\]).
 
 use wdm_core::algorithms::Assignment;
 

@@ -1,5 +1,5 @@
 //! Input-buffered operation — the electronic-switch regime the paper cites
-//! ([7] PIM, [8] iSLIP) transplanted onto the WDM wavelength machinery.
+//! (\[7\] PIM, \[8\] iSLIP) transplanted onto the WDM wavelength machinery.
 //!
 //! The paper's interconnect is bufferless: requests that lose the output
 //! contention are dropped ("optical buffers … are still very expensive").

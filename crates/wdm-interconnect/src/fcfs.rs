@@ -4,7 +4,7 @@
 //! were assumed to be asynchronous, thus eliminates the need for a
 //! scheduling algorithm since the requests have a natural order and are
 //! assumed to be served according to the first-come-first-served rule"
-//! (discussing [11], [13], [14]). [`FcfsSwitch`] implements that regime:
+//! (discussing \[11\], \[13\], \[14\]). [`FcfsSwitch`] implements that regime:
 //! requests are admitted one at a time in arrival order, each taking the
 //! first free channel in its conversion range, with no batching and no
 //! matching.

@@ -18,7 +18,7 @@ use std::time::Duration;
 use wdm_loadgen::{run, LoadgenConfig, Mode};
 
 fn usage() -> &'static str {
-    "usage: wdm-loadgen --addr <host:port> [--mode closed|open] [--interval-us <us>]\n       [--batches <count>] [--load <0..1>] [--seed <u64>] [--mean-duration <slots>]\n       [--reserve-fraction <0..1>] [--reserve-lead <slots>]\n       [--scenario <plan.toml>] [--out <report.json>] [--shutdown] [--expect-clean]\n\n  --scenario drives a compiled scenario plan: its seed, slot count, load\n  shape, and holding-time model override --load/--batches/--seed/\n  --mean-duration, and the closed-loop report gains per-phase and\n  during-disruption breakdowns. Point the daemon at the same plan with\n  `wdm-serve serve --scenario`."
+    "usage: wdm-loadgen --addr <host:port> [--mode closed|open] [--interval-us <us>]\n       [--batches <count>] [--load <0..1>] [--seed <u64>] [--mean-duration <slots>]\n       [--reserve-fraction <0..1>] [--reserve-lead <slots>]\n       [--scenario <plan.toml>] [--out <report.json>] [--shutdown] [--expect-clean]\n\n  --scenario drives a compiled scenario plan: its seed, slot count, load\n  shape, and holding-time model override --load/--batches/--seed/\n  --mean-duration, and the closed-loop report gains per-phase and\n  before/during/after-disruption breakdowns. Point the daemon at the same plan with\n  `wdm-serve serve --scenario`."
 }
 
 struct Args {
@@ -148,22 +148,18 @@ fn main() -> ExitCode {
         report.p99_grant_latency_ns,
         report.p999_grant_latency_ns,
     );
-    if !report.phases.is_empty() {
-        for phase in &report.phases {
+    let w = &report.windows;
+    if !w.phases.is_empty() {
+        for window in w.phases.iter().chain([&w.before, &w.during, &w.after]) {
             eprintln!(
-                "wdm-loadgen: phase `{}`: {} slots, {} requests, {} grants, {} denies",
-                phase.name,
-                phase.tally.slots,
-                phase.tally.requests,
-                phase.tally.grants,
-                phase.tally.denies,
+                "wdm-loadgen: window `{}`: {} slots, {} offered, {} granted, loss {:.4}",
+                window.name,
+                window.slots,
+                window.offered,
+                window.granted,
+                window.loss_probability(),
             );
         }
-        let d = &report.during_disruption;
-        eprintln!(
-            "wdm-loadgen: during disruption: {} slots, {} requests, {} grants, {} denies",
-            d.slots, d.requests, d.grants, d.denies,
-        );
     }
     if report.reservations > 0 {
         eprintln!(

@@ -8,7 +8,8 @@
 //! RESERVE→activation-GRANT latency buckets. A compiled `wdm-scenario`
 //! plan (`--scenario`) swaps in the scenario traffic stream — the same
 //! one the offline simulator and the daemon's disruption timeline use —
-//! and adds per-phase / during-disruption breakdowns to the report. The
+//! and adds the simulator's per-phase and before/during/after-disruption
+//! windows ([`wdm_sim::scenario::PlanWindows`]) to the report. The
 //! [`LoadReport`] JSON is what BENCH_4's serve-mode rows and the CI smoke
 //! gate consume.
 
@@ -20,7 +21,4 @@ pub mod histogram;
 pub mod runner;
 
 pub use histogram::LatencyHistogram;
-pub use runner::{
-    run, DurationLatency, LoadReport, LoadgenConfig, Mode, PhaseWindow, WindowTally,
-    RESERVE_ID_BASE,
-};
+pub use runner::{run, DurationLatency, LoadReport, LoadgenConfig, Mode, RESERVE_ID_BASE};

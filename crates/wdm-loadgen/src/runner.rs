@@ -7,9 +7,10 @@
 //! [`wdm_sim::scenario::ScenarioTraffic`] — the *same* stream the offline
 //! simulator draws and the daemon's disruption timeline expects — taking
 //! its seed, slot count, load shape, and holding-time model from the plan,
-//! and the closed-loop report gains per-phase and during-disruption
-//! breakdowns (sound because closed pacing settles every batch before the
-//! next slot, so each reply attributes to exactly one plan slot).
+//! and the closed-loop report gains the simulator's per-phase and
+//! before/during/after-disruption windows (sound because closed pacing
+//! settles every batch before the next slot, so each reply attributes to
+//! exactly one plan slot).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,7 +22,8 @@ use wdm_interconnect::ConnectionRequest;
 use wdm_scenario::CompiledPlan;
 use wdm_serve::protocol::{DenyReason, Frame, ProtocolError, ReserveRequest, SubmitRequest};
 use wdm_serve::Client;
-use wdm_sim::scenario::{duration_model, ScenarioTraffic};
+use wdm_sim::metrics::SlotObservation;
+use wdm_sim::scenario::{duration_model, PlanWindows, ScenarioTraffic};
 use wdm_sim::traffic::{BernoulliUniform, DurationModel, TrafficModel};
 
 use crate::histogram::LatencyHistogram;
@@ -132,35 +134,12 @@ pub struct LoadReport {
     /// Reservation latency (RESERVE sent → activation GRANT received)
     /// percentiles, bucketed by requested hold duration.
     pub reservation_latency_by_duration: Vec<DurationLatency>,
-    /// Per-phase cell-path breakdown, in plan timeline order. Populated
-    /// only for closed-loop scenario runs; empty otherwise (open-loop
-    /// replies are not attributable to a single plan slot).
-    pub phases: Vec<PhaseWindow>,
-    /// Cell-path tallies over the slots where the plan holds at least one
-    /// disruption open. All-zero outside closed-loop scenario runs.
-    pub during_disruption: WindowTally,
-}
-
-/// Cell-path tallies over one window of plan slots.
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct WindowTally {
-    /// Plan slots attributed to this window.
-    pub slots: u64,
-    /// Cell requests submitted during the window.
-    pub requests: u64,
-    /// Grants received for those requests.
-    pub grants: u64,
-    /// Denies received for those requests (all reasons).
-    pub denies: u64,
-}
-
-/// One plan phase's window tallies.
-#[derive(Debug, Clone, Serialize)]
-pub struct PhaseWindow {
-    /// Phase name from the scenario file.
-    pub name: String,
-    /// What the phase's slots observed.
-    pub tally: WindowTally,
+    /// Cell-path tallies per plan phase and before/during/after the
+    /// plan's disruptions, over measured (post-warmup) slots — the same
+    /// recorder the offline simulator fills. Populated only for
+    /// closed-loop scenario runs; empty otherwise (open-loop replies are
+    /// not attributable to a single plan slot).
+    pub windows: PlanWindows,
 }
 
 /// Reservation-grant latency percentiles for one requested hold duration.
@@ -198,11 +177,6 @@ struct Tally {
 }
 
 impl Tally {
-    /// Cell-path denies across every reason.
-    fn denies(&self) -> u64 {
-        self.queue_full + self.source_busy + self.contention + self.invalid
-    }
-
     /// Folds one frame in; returns how many outstanding replies it settled.
     fn observe(&mut self, frame: &Frame) -> u64 {
         match frame {
@@ -259,45 +233,6 @@ impl ReserveStats {
                 max_ns: hist.max(),
             })
             .collect()
-    }
-}
-
-/// Per-window accumulators a closed-loop scenario run carries alongside
-/// the flat tallies; empty (and all-zero) everywhere else.
-#[derive(Debug, Default)]
-struct ScenarioWindows {
-    phases: Vec<PhaseWindow>,
-    during_disruption: WindowTally,
-}
-
-impl ScenarioWindows {
-    fn for_plan(plan: &CompiledPlan) -> ScenarioWindows {
-        ScenarioWindows {
-            phases: plan
-                .phases()
-                .iter()
-                .map(|p| PhaseWindow { name: p.name.clone(), tally: WindowTally::default() })
-                .collect(),
-            during_disruption: WindowTally::default(),
-        }
-    }
-
-    /// Attributes one settled plan slot's deltas to its phase and, when
-    /// the plan holds a disruption open at that slot, to the disruption
-    /// window.
-    fn record(&mut self, plan: &CompiledPlan, slot: u64, requests: u64, grants: u64, denies: u64) {
-        if let Some(phase) = self.phases.get_mut(plan.phase_index(slot)) {
-            phase.tally.slots += 1;
-            phase.tally.requests += requests;
-            phase.tally.grants += grants;
-            phase.tally.denies += denies;
-        }
-        if plan.is_disrupted(slot) {
-            self.during_disruption.slots += 1;
-            self.during_disruption.requests += requests;
-            self.during_disruption.grants += grants;
-            self.during_disruption.denies += denies;
-        }
     }
 }
 
@@ -377,8 +312,7 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadReport, ProtocolError> {
         reserve_denied_capacity: reserve.denied_capacity,
         reserve_denied_horizon: reserve.denied_horizon,
         reservation_latency_by_duration: reserve.report_buckets(),
-        phases: windows.phases,
-        during_disruption: windows.during_disruption,
+        windows,
     })
 }
 
@@ -393,7 +327,7 @@ fn drive<T: TrafficModel>(
     traffic: &mut T,
     rng: &mut StdRng,
 ) -> Result<
-    (&'static str, Tally, LatencyHistogram, u64, Duration, ReserveStats, ScenarioWindows),
+    (&'static str, Tally, LatencyHistogram, u64, Duration, ReserveStats, PlanWindows),
     ProtocolError,
 > {
     match config.mode {
@@ -404,7 +338,7 @@ fn drive<T: TrafficModel>(
         }
         Mode::Open { interval } => {
             let (t, h, r, e) = run_open(client, config, interval, batches, traffic, rng)?;
-            Ok(("open", t, h, r, e, ReserveStats::default(), ScenarioWindows::default()))
+            Ok(("open", t, h, r, e, ReserveStats::default(), PlanWindows::default()))
         }
     }
 }
@@ -524,14 +458,13 @@ fn run_closed<T: TrafficModel>(
     scenario: Option<&CompiledPlan>,
     traffic: &mut T,
     rng: &mut StdRng,
-) -> Result<(Tally, LatencyHistogram, u64, Duration, ReserveStats, ScenarioWindows), ProtocolError>
-{
+) -> Result<(Tally, LatencyHistogram, u64, Duration, ReserveStats, PlanWindows), ProtocolError> {
     let (n, k) = (client.n(), client.k());
     let mut tally = Tally::default();
     let mut hist = LatencyHistogram::new();
     let mut stats = ReserveStats::default();
     let mut tracker = ReserveTracker::default();
-    let mut windows = scenario.map(ScenarioWindows::for_plan).unwrap_or_default();
+    let mut windows = scenario.map(PlanWindows::for_plan).unwrap_or_default();
     let mut generated = Vec::new();
     let mut batch = Vec::new();
     let mut next_id = 0u64;
@@ -547,7 +480,7 @@ fn run_closed<T: TrafficModel>(
             } else {
                 None
             };
-        let before = (tally.grants, tally.denies());
+        let before = (tally.grants, tally.contention, tally.source_busy);
         if !batch.is_empty() || reservation.is_some() {
             requests += batch.len() as u64;
             let submitted = Instant::now();
@@ -584,13 +517,14 @@ fn run_closed<T: TrafficModel>(
         // belong to exactly this plan slot (empty slots still count toward
         // their window's slot total).
         if let Some(plan) = scenario {
-            windows.record(
-                plan,
-                slot,
-                batch.len() as u64,
-                tally.grants - before.0,
-                tally.denies() - before.1,
-            );
+            let observed = SlotObservation {
+                offered: batch.len(),
+                granted: (tally.grants - before.0) as usize,
+                contention_losses: (tally.contention - before.1) as usize,
+                source_busy: (tally.source_busy - before.2) as usize,
+                ..SlotObservation::default()
+            };
+            windows.record(plan, slot, &observed);
         }
     }
     // Admitted reservations with start slots beyond the last batch are

@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use wdm_core::{Conversion, Policy};
-use wdm_loadgen::{run, LoadgenConfig, Mode};
+use wdm_loadgen::{run, LoadReport, LoadgenConfig, Mode};
 use wdm_serve::{EngineConfig, Server, ServerConfig};
 
 const N: usize = 4;
@@ -175,13 +175,9 @@ fn mixed_reservation_session_is_clean_and_replayable() {
     assert_eq!(replay.reservation_grants as u64, report.reservation_grants);
 }
 
-/// A daemon and generator sharing one compiled scenario plan: the daemon
-/// fires the plan's converter failure, outage, and fallback windows while
-/// the generator draws the plan's traffic stream, and the session stays
-/// clean with sound per-phase / during-disruption attribution.
-#[test]
-fn scenario_session_is_clean_with_window_breakdowns() {
-    let doc = r#"
+/// A small storm: a converter failure over slots 4–8, an outage over
+/// 12–16, and an `on_disruption` fallback.
+const SMOKE_STORM: &str = r#"
 schema = 1
 name = "smoke-storm"
 
@@ -217,6 +213,56 @@ until = 16
 policy = "approx"
 on_disruption = true
 "#;
+
+/// A daemon and generator sharing one compiled scenario plan: the daemon
+/// fires the plan's converter failure, outage, and fallback windows while
+/// the generator draws the plan's traffic stream, and the session stays
+/// clean with sound per-phase / during-disruption attribution.
+#[test]
+fn scenario_session_is_clean_with_window_breakdowns() {
+    let (plan, report, server_report) = scenario_session(SMOKE_STORM);
+
+    assert!(report.clean(), "InvalidRequest denies: {}", report.denies_invalid);
+    assert!(report.grants > 0, "a 0.5-load scenario must grant something");
+    // The final SLOT_COMPLETE may land after the last reply settles the
+    // closed loop, so the generator observes at least all but one.
+    assert!(report.slots >= plan.total_slots() - 1, "slots {}", report.slots);
+
+    // The implicit steady phase covers the whole run, and its tallies are
+    // exactly the session totals.
+    let w = &report.windows;
+    assert_eq!(w.phases.len(), 1);
+    let phase = &w.phases[0];
+    assert_eq!(phase.name, "steady");
+    assert_eq!(phase.slots, plan.total_slots());
+    assert_eq!(phase.offered, report.requests);
+    assert_eq!(phase.granted, report.grants);
+
+    // Disruption windows [4, 8) and [12, 16): eight attributed slots with
+    // real traffic through them.
+    assert_eq!(w.during.slots, 8);
+    assert!(w.during.offered > 0);
+    assert_eq!(
+        w.during.granted + w.during.contention_losses + w.during.source_busy,
+        w.during.offered,
+        "closed pacing settles every windowed request"
+    );
+    assert_eq!(w.before.slots + w.during.slots + w.after.slots, plan.total_slots());
+
+    // The daemon applied the full timeline and the fallback engaged for
+    // both windows and reverted after each.
+    let summary = server_report.scenario.expect("scenario daemon reports a summary");
+    assert_eq!(summary.events_applied, plan.events().len() as u64);
+    assert_eq!(summary.fallback_engagements, 2);
+    assert_eq!(summary.fallback_reverts, 2);
+    assert_eq!(summary.engaged_slots, 8);
+}
+
+/// Serves one scenario plan on an in-process daemon and drives it with a
+/// closed-loop generator on the same plan.
+fn scenario_session(
+    doc: &str,
+) -> (std::sync::Arc<wdm_scenario::CompiledPlan>, LoadReport, wdm_serve::ServerReport) {
     let plan = std::sync::Arc::new(wdm_scenario::load_plan(doc).unwrap());
     // No trace: a session trace cannot replay mid-run disruptions.
     let config = ServerConfig {
@@ -242,40 +288,26 @@ on_disruption = true
         scenario: Some(std::sync::Arc::clone(&plan)),
     })
     .unwrap();
-
-    assert!(report.clean(), "InvalidRequest denies: {}", report.denies_invalid);
-    assert!(report.grants > 0, "a 0.5-load scenario must grant something");
-    // The final SLOT_COMPLETE may land after the last reply settles the
-    // closed loop, so the generator observes at least all but one.
-    assert!(report.slots >= plan.total_slots() - 1, "slots {}", report.slots);
-
-    // The implicit steady phase covers the whole run, and its tallies are
-    // exactly the session totals.
-    assert_eq!(report.phases.len(), 1);
-    let phase = &report.phases[0];
-    assert_eq!(phase.name, "steady");
-    assert_eq!(phase.tally.slots, plan.total_slots());
-    assert_eq!(phase.tally.requests, report.requests);
-    assert_eq!(phase.tally.grants, report.grants);
-
-    // Disruption windows [4, 8) and [12, 16): eight attributed slots with
-    // real traffic through them.
-    assert_eq!(report.during_disruption.slots, 8);
-    assert!(report.during_disruption.requests > 0);
-    assert_eq!(
-        report.during_disruption.grants + report.during_disruption.denies,
-        report.during_disruption.requests,
-        "closed pacing settles every windowed request"
-    );
-
-    // The daemon applied the full timeline and the fallback engaged for
-    // both windows and reverted after each.
     let server_report = handle.join().unwrap().unwrap();
-    let summary = server_report.scenario.expect("scenario daemon reports a summary");
-    assert_eq!(summary.events_applied, plan.events().len());
-    assert_eq!(summary.fallback_engagements, 2);
-    assert_eq!(summary.fallback_reverts, 2);
-    assert_eq!(summary.engaged_slots, 8);
+    (plan, report, server_report)
+}
+
+/// The generator's windows are the simulator's: with warmup slots (which
+/// swallow the converter failure) ahead of the measured ones, a live
+/// closed-loop session fills every window with exactly the offline run's
+/// counts, warmup skipped, and the daemon's driver reports the offline
+/// run's summary.
+#[test]
+fn scenario_session_windows_equal_the_offline_run() {
+    let doc = SMOKE_STORM.replacen("[run]\n", "[run]\nwarmup = 10\n", 1);
+    let (plan, report, server_report) = scenario_session(&doc);
+    let offline = wdm_sim::scenario::run_scenario(&plan).unwrap();
+    assert!(report.clean(), "InvalidRequest denies: {}", report.denies_invalid);
+    let w = &report.windows;
+    assert_eq!(w.phases[0].slots, 40, "the 10 warmup slots are not measured");
+    assert_eq!(w.phases[0].offered, offline.metrics.offered());
+    assert_eq!(*w, offline.windows);
+    assert_eq!(server_report.scenario, Some(offline.summary));
 }
 
 /// A plan compiled for a different fabric is rejected before any traffic

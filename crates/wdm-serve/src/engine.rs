@@ -29,16 +29,19 @@
 //! sizes, trace recording off) [`SlotEngine::run_slot`] performs zero heap
 //! allocations — pinned by the `wdm-alloc-count` regression.
 
+use std::sync::Arc;
+
 use wdm_attr::{allow_reach, hot_path, panic_free};
 use wdm_core::{Conversion, ConversionKind, Error, Policy};
 use wdm_interconnect::{
     ConnectionRequest, DisruptionImpact, Interconnect, InterconnectConfig, PreemptionPolicy,
     RejectReason, Reservation, ReservationRequest, SlotResult, DEFAULT_RESERVATION_HORIZON,
 };
-use wdm_scenario::{DisruptionChange, DisruptionEvent};
+use wdm_scenario::{CompiledPlan, DisruptionChange, DisruptionEvent};
+use wdm_sim::scenario::{apply_disruption, PlanFabric, ScenarioDriver};
 use wdm_sim::trace::{SessionTrace, TraceConfig};
 
-use crate::protocol::{DenyReason, ReserveRequest, SubmitRequest};
+use crate::protocol::{DenyReason, ProtocolError, ReserveRequest, SubmitRequest};
 use crate::serve_sync::{AdmitRejection, ShardQueues};
 
 /// Configuration of a [`SlotEngine`].
@@ -568,10 +571,8 @@ impl SlotEngine {
     }
 
     /// Applies one scenario disruption event against the live engine,
-    /// before the affected slot is scheduled: converter failures shrink
-    /// the fiber's conversion scheme (dropping in-flight connections the
-    /// narrow range cannot realise), recovery restores the baseline, an
-    /// outage takes the fiber dark, and rejoin brings it back cold.
+    /// before the affected slot is scheduled, through the one mapping
+    /// every consumer shares ([`wdm_sim::scenario::apply_disruption`]).
     ///
     /// An outage also cancels every pending reservation booked toward the
     /// dark fiber; each cancelled hold's client is answered *now* with a
@@ -584,44 +585,69 @@ impl SlotEngine {
         out: &mut Vec<Reply>,
     ) -> Result<DisruptionImpact, Error> {
         let slot = self.engine.slot();
-        let impact = match event.change {
-            DisruptionChange::ConverterFailure { conversion, .. } => {
-                self.engine.shrink_conversion(event.fiber, conversion)?
-            }
-            DisruptionChange::ConverterRecovery => self.engine.restore_conversion(event.fiber)?,
-            DisruptionChange::Outage => {
-                let impact = self.engine.fail_fiber(event.fiber)?;
-                let mut cancelled = 0usize;
-                let mut i = 0;
-                while i < self.holds.len() {
-                    if self.holds[i].dst_fiber == event.fiber {
-                        let hold = self.holds.swap_remove(i);
-                        cancelled += 1;
-                        if let Some(trace) = &mut self.trace {
-                            trace.record_release(hold.rid);
-                        }
-                        out.push(Reply {
-                            conn: hold.conn,
-                            id: hold.id,
-                            slot,
-                            verdict: Verdict::Denied {
-                                reason: DenyReason::CapacityExhausted,
-                                retry_after_slots: 0,
-                            },
-                        });
-                    } else {
-                        i += 1;
+        let impact = apply_disruption(&mut self.engine, event)?;
+        if matches!(event.change, DisruptionChange::Outage) {
+            let mut cancelled = 0usize;
+            let mut i = 0;
+            while i < self.holds.len() {
+                if self.holds[i].dst_fiber == event.fiber {
+                    let hold = self.holds.swap_remove(i);
+                    cancelled += 1;
+                    if let Some(trace) = &mut self.trace {
+                        trace.record_release(hold.rid);
                     }
+                    out.push(Reply {
+                        conn: hold.conn,
+                        id: hold.id,
+                        slot,
+                        verdict: Verdict::Denied {
+                            reason: DenyReason::CapacityExhausted,
+                            retry_after_slots: 0,
+                        },
+                    });
+                } else {
+                    i += 1;
                 }
-                debug_assert_eq!(
-                    cancelled, impact.cancelled_reservations,
-                    "every ledger cancellation answers exactly one registered hold"
-                );
-                impact
             }
-            DisruptionChange::Rejoin => self.engine.rejoin_fiber(event.fiber)?,
-        };
+            debug_assert_eq!(
+                cancelled, impact.cancelled_reservations,
+                "every ledger cancellation answers exactly one registered hold"
+            );
+        }
         Ok(impact)
+    }
+
+    /// Attaches a compiled scenario plan to this engine, checking that the
+    /// plan was compiled for this topology — every event names a fiber
+    /// index and every shrunk conversion a wavelength count that must exist
+    /// here. The fallback reverts to the engine's current policy.
+    pub fn attach_plan(&self, plan: Arc<CompiledPlan>) -> Result<ScenarioDriver, ProtocolError> {
+        if plan.n() != self.n() || plan.k() != self.k() {
+            return Err(ProtocolError::Scenario {
+                message: format!(
+                    "plan is for n={} k={} but the engine serves n={} k={}",
+                    plan.n(),
+                    plan.k(),
+                    self.n(),
+                    self.k()
+                ),
+            });
+        }
+        Ok(ScenarioDriver::new(plan, self.policy))
+    }
+
+    /// Steps an attached plan's driver for the next slot: its due
+    /// disruption events, then one fallback decision fed the clock's
+    /// `lag_slots`. Call exactly once per executed slot, immediately before
+    /// [`Self::run_slot`]; replies to clients whose reservations an outage
+    /// cancelled are appended to `out`.
+    pub fn step_plan(&mut self, driver: &mut ScenarioDriver, lag_slots: u64, out: &mut Vec<Reply>) {
+        let slot = self.slot();
+        if driver.before_slot(&mut EngineFabric { engine: self, out }, slot, lag_slots).is_err() {
+            unreachable!(
+                "attach_plan() matched the plan to this topology, and compile() validated the fallback policy against every conversion the run can reach"
+            );
+        }
     }
 
     /// Swaps the scheduling policy on every fiber — the degraded-mode
@@ -632,6 +658,24 @@ impl SlotEngine {
         self.engine.set_policy_all(policy)?;
         self.policy = policy;
         Ok(())
+    }
+}
+
+/// The engine as a scenario driver sees it: disruptions go through
+/// [`SlotEngine::apply_disruption`], so outage-cancelled holds are answered
+/// into `out`.
+struct EngineFabric<'a> {
+    engine: &'a mut SlotEngine,
+    out: &'a mut Vec<Reply>,
+}
+
+impl PlanFabric for EngineFabric<'_> {
+    fn disrupt(&mut self, event: &DisruptionEvent) -> Result<DisruptionImpact, Error> {
+        self.engine.apply_disruption(event, self.out)
+    }
+
+    fn set_policy_all(&mut self, policy: Policy) -> Result<(), Error> {
+        self.engine.set_policy_all(policy)
     }
 }
 

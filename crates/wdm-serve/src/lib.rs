@@ -15,16 +15,15 @@
 //!   [`wdm_interconnect::Interconnect`], which runs the same
 //!   [`wdm_interconnect::FiberUnit`] shards as every other consumer — the
 //!   steady-state slot loop allocates nothing and a recorded session
-//!   replays bit-for-bit through [`wdm_sim::trace`];
+//!   replays bit-for-bit through [`wdm_sim::trace`]. A compiled
+//!   `wdm-scenario` plan attaches to it ([`SlotEngine::attach_plan`]) and
+//!   is stepped through the simulator's own driver
+//!   ([`wdm_sim::scenario::ScenarioDriver`]), with no wire-format change;
 //! * [`serve_sync`] — the cross-thread coordination primitives (bounded
 //!   channel, stop flag, slot-sequence counter, shard admission queues) on
 //!   `cfg(loom)`-swappable atomics/mutexes/condvars, exhaustively
 //!   model-checked by `tests/loom_serve.rs` under `cargo xtask loom`; the
 //!   canonical shutdown drain order is documented there;
-//! * [`scenario`] — the scenario runtime: drives a compiled
-//!   `wdm-scenario` plan's disruption timeline (converter failures, fiber
-//!   outages) and degraded-mode policy fallback against the live engine,
-//!   with no wire-format change;
 //! * [`server`] — the daemon: acceptor + per-connection reader threads
 //!   feeding a bounded intake channel, the coordinator slot loop, and a
 //!   results thread streaming grant/deny frames back;
@@ -39,7 +38,6 @@ pub mod client;
 pub mod clock;
 pub mod engine;
 pub mod protocol;
-pub mod scenario;
 pub mod serve_sync;
 pub mod server;
 
@@ -49,6 +47,5 @@ pub use engine::{EngineConfig, Reply, SlotEngine, SlotSummary, Verdict};
 pub use protocol::{
     DenyReason, Frame, ProtocolError, ReserveRequest, SubmitRequest, PROTOCOL_VERSION,
 };
-pub use scenario::{ScenarioRuntime, ScenarioSummary};
 pub use server::{Server, ServerConfig, ServerReport};
 pub use wdm_interconnect::PreemptionPolicy;

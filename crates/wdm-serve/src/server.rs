@@ -35,6 +35,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+use wdm_sim::scenario::ScenarioSummary;
 use wdm_sim::trace::SessionTrace;
 
 use crate::clock::SlotClock;
@@ -42,7 +43,6 @@ use crate::engine::{EngineConfig, Reply, SlotEngine, Verdict};
 use crate::protocol::{
     read_frame, write_frame, Frame, ProtocolError, ReserveRequest, SubmitRequest, PROTOCOL_VERSION,
 };
-use crate::scenario::{ScenarioRuntime, ScenarioSummary};
 use crate::serve_sync::{
     self, Receiver, RecvTimeoutError, Sender, SlotSequence, StopFlag, TryRecvError,
 };
@@ -101,7 +101,7 @@ pub struct ServerReport {
     pub reservation_expiries: u64,
     /// Connections accepted over the run.
     pub connections: u64,
-    /// What the scenario runtime did, when one was configured.
+    /// What the scenario driver did, when a plan was configured.
     pub scenario: Option<ScenarioSummary>,
     /// The recorded session, when the engine was configured to record.
     pub trace: Option<SessionTrace>,
@@ -160,7 +160,7 @@ impl Server {
         let Server { listener, addr: _, config } = self;
         let mut engine = SlotEngine::new(config.engine)?;
         let mut scenario = match &config.scenario {
-            Some(plan) => Some(ScenarioRuntime::new(Arc::clone(plan), &engine)?),
+            Some(plan) => Some(engine.attach_plan(Arc::clone(plan))?),
             None => None,
         };
         let hello = HelloInfo {
@@ -247,8 +247,8 @@ impl Server {
             // failure planned for slot s is in force when s is scheduled;
             // replies to outage-cancelled reservations lead the stream.
             out.clear();
-            if let Some(rt) = scenario.as_mut() {
-                rt.before_slot(&mut engine, clock.lag_slots(), &mut out);
+            if let Some(driver) = scenario.as_mut() {
+                engine.step_plan(driver, clock.lag_slots(), &mut out);
             }
             let summary = engine.run_slot(&mut out);
             report.grants += summary.grants as u64;
@@ -298,7 +298,7 @@ impl Server {
             let _ = h.join();
         }
         drop(in_rx);
-        report.scenario = scenario.map(|rt| rt.summary());
+        report.scenario = scenario.map(|driver| driver.summary());
         report.trace = engine.take_trace();
         Ok(report)
     }

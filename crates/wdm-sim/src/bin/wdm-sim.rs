@@ -28,9 +28,10 @@ fn usage() -> &'static str {
      --out <file>       write the report as JSON as well"
 }
 
-fn window_line(label: &str, w: &WindowStats) -> String {
+fn window_line(w: &WindowStats) -> String {
     format!(
-        "  {label:<8} {:>7} slots  offered {:>8}  granted {:>8}  loss {:.4}",
+        "  {:<8} {:>7} slots  offered {:>8}  granted {:>8}  loss {:.4}",
+        w.name,
         w.slots,
         w.offered,
         w.granted,
@@ -50,20 +51,22 @@ fn print_report(report: &ScenarioReport) {
         report.warm.repair_rate(),
     );
     println!("phases:");
-    for p in &report.phases {
-        println!("{}", window_line(&p.name, &p.stats));
+    let w = &report.windows;
+    for p in &w.phases {
+        println!("{}", window_line(p));
     }
     println!("disruption windows:");
-    println!("{}", window_line("before", &report.before));
-    println!("{}", window_line("during", &report.during));
-    println!("{}", window_line("after", &report.after));
+    for window in [&w.before, &w.during, &w.after] {
+        println!("{}", window_line(window));
+    }
+    let s = &report.summary;
     println!(
         "disruption impact: {} connections dropped, {} reservations cancelled",
-        report.dropped_connections, report.cancelled_reservations
+        s.dropped_connections, s.cancelled_reservations
     );
     println!(
         "fallback: {} engagements, {} reverts, {} slots engaged",
-        report.fallback.engagements, report.fallback.reverts, report.fallback.engaged_slots
+        s.fallback_engagements, s.fallback_reverts, s.engaged_slots
     );
 }
 

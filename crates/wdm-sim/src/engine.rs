@@ -1,12 +1,16 @@
 //! The simulation engine: interconnect + traffic + clock.
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use wdm_core::Error;
+use wdm_core::{Error, WarmStats};
 use wdm_interconnect::{Interconnect, InterconnectConfig};
+use wdm_scenario::CompiledPlan;
 
 use crate::metrics::{Metrics, SlotObservation};
+use crate::scenario::{PlanWindows, ScenarioDriver, ScenarioSummary};
 use crate::traffic::ReservationTraffic;
 use crate::traffic::TrafficModel;
 
@@ -44,40 +48,15 @@ pub struct Report {
     /// reservation process attached).
     pub reservations: ReservationSummary,
     /// Warm-start scheduling outcomes summed over every fiber scheduler and
-    /// the whole run (warmup included).
-    pub warm: WarmSummary,
-}
-
-/// How the per-fiber schedulers computed their slots over one run: repaired
-/// from the previous slot's matching, fell back to from-scratch dispatch
-/// when the repair budget tripped, or ran cold. The serializable counterpart
-/// of [`wdm_core::WarmStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WarmSummary {
-    /// Per-fiber slots repaired from the previous matching.
-    pub repaired: u64,
-    /// Per-fiber slots where repair tripped its budget and dispatch re-ran.
-    pub fallback: u64,
-    /// Per-fiber slots scheduled with no warm state.
-    pub cold: u64,
-}
-
-impl WarmSummary {
-    /// Fraction of per-fiber slots served by the warm repair path.
-    pub fn repair_rate(&self) -> f64 {
-        let total = self.repaired + self.fallback + self.cold;
-        if total == 0 {
-            0.0
-        } else {
-            self.repaired as f64 / total as f64
-        }
-    }
-}
-
-impl From<wdm_core::WarmStats> for WarmSummary {
-    fn from(stats: wdm_core::WarmStats) -> WarmSummary {
-        WarmSummary { repaired: stats.repaired, fallback: stats.fallback, cold: stats.cold }
-    }
+    /// the whole run (warmup included): per-fiber slots repaired from the
+    /// previous matching, fallen back to dispatch, or run cold.
+    pub warm: WarmStats,
+    /// Per-phase and per-disruption-window tallies (empty when the run had
+    /// no plan attached).
+    pub windows: PlanWindows,
+    /// What the attached plan's timeline and fallback did (all-zero when
+    /// the run had no plan attached).
+    pub scenario: ScenarioSummary,
 }
 
 /// What happened to the advance reservations of one simulation run,
@@ -129,11 +108,13 @@ impl Report {
 }
 
 /// A runnable simulation: one interconnect driven by one traffic model,
-/// optionally mixed with an advance-reservation arrival process.
+/// optionally mixed with an advance-reservation arrival process and a
+/// scenario plan's disruption timeline.
 pub struct Simulation<T: TrafficModel> {
     interconnect: Interconnect,
     traffic: T,
     reservations: Option<ReservationTraffic>,
+    plan: Option<ScenarioDriver>,
     rng: StdRng,
     config: SimulationConfig,
 }
@@ -172,6 +153,7 @@ impl<T: TrafficModel> Simulation<T> {
             interconnect,
             traffic,
             reservations: None,
+            plan: None,
             rng: StdRng::seed_from_u64(config.seed),
             config,
         })
@@ -185,10 +167,26 @@ impl<T: TrafficModel> Simulation<T> {
         self
     }
 
+    /// Attaches a compiled scenario plan. Each slot its due disruption
+    /// events and one fallback step land before anything else (see
+    /// [`ScenarioDriver::before_slot`]), and each measured slot is
+    /// attributed to the plan's windows ([`PlanWindows::record`]). The
+    /// traffic model is the caller's: pair the plan with
+    /// [`ScenarioTraffic`](crate::scenario::ScenarioTraffic) to run the
+    /// plan's own workload. The fallback reverts to the plan's baseline
+    /// policy.
+    pub fn with_plan(mut self, plan: Arc<CompiledPlan>) -> Self {
+        let base_policy = plan.policy();
+        self.plan = Some(ScenarioDriver::new(plan, base_policy));
+        self
+    }
+
     /// Runs warmup + measurement and returns the report.
     pub fn run(mut self) -> Result<Report, Error> {
         let mut metrics = Metrics::new();
         let mut summary = ReservationSummary::default();
+        let mut windows =
+            self.plan.as_ref().map(|d| PlanWindows::for_plan(d.plan())).unwrap_or_default();
         let total = self.config.warmup_slots + self.config.measure_slots;
         // One request buffer and one result for the whole run: the slot loop
         // reuses them, so steady-state simulation is allocation-free.
@@ -196,6 +194,9 @@ impl<T: TrafficModel> Simulation<T> {
         let mut arrivals = Vec::new();
         let mut result = wdm_interconnect::SlotResult::default();
         for slot in 0..total {
+            if let Some(driver) = self.plan.as_mut() {
+                driver.before_slot(&mut self.interconnect, slot, 0)?;
+            }
             if let Some(process) = self.reservations.as_mut() {
                 process.generate_into(&mut self.rng, slot, &mut arrivals);
                 for request in &arrivals {
@@ -220,7 +221,7 @@ impl<T: TrafficModel> Simulation<T> {
             summary.grants += result.reservation_grants.len() as u64;
             summary.expiries += result.reservation_expired.len() as u64;
             if slot >= self.config.warmup_slots {
-                metrics.record_slot(SlotObservation {
+                let observed = SlotObservation {
                     offered: result.offered(),
                     granted: result.grants.len(),
                     contention_losses: result.contention_losses(),
@@ -228,7 +229,11 @@ impl<T: TrafficModel> Simulation<T> {
                     completed: result.completed,
                     rearranged: result.rearranged,
                     active_now: self.interconnect.active_connections(),
-                });
+                };
+                metrics.record_slot(observed);
+                if let Some(driver) = &self.plan {
+                    windows.record(driver.plan(), slot, &observed);
+                }
             }
         }
         Ok(Report {
@@ -238,7 +243,9 @@ impl<T: TrafficModel> Simulation<T> {
             offered_load: self.traffic.offered_load(),
             metrics,
             reservations: summary,
-            warm: self.interconnect.warm_stats().into(),
+            warm: self.interconnect.warm_stats(),
+            windows,
+            scenario: self.plan.map(|d| d.summary()).unwrap_or_default(),
         })
     }
 }

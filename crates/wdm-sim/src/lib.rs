@@ -6,7 +6,7 @@
 //! * [`traffic`] — synthetic arrival processes: i.i.d. Bernoulli with
 //!   uniform destinations, hotspot destinations, bursty on/off sources, and
 //!   deterministic or geometric multi-slot holding times (the models used by
-//!   the paper's citations [11], [13], [14] — no public 2003 OXC traces
+//!   the paper's citations \[11\], \[13\], \[14\] — no public 2003 OXC traces
 //!   exist, see DESIGN.md);
 //! * [`metrics`] — per-slot accounting: offered load, carried load,
 //!   contention losses, channel utilization, with batch-means confidence
@@ -22,7 +22,9 @@
 //!   (`cargo xtask loom`);
 //! * [`scenario`] — executes a compiled `wdm-scenario` plan: phased load,
 //!   mid-run disruptions (converter failures, fiber outages), degraded-mode
-//!   policy fallback, with per-phase and per-disruption-window breakdowns.
+//!   policy fallback, with per-phase and per-disruption-window breakdowns;
+//!   its driver and window recorder are shared with the daemon and the
+//!   load generator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,11 +39,11 @@ pub mod sweep_sync;
 pub mod trace;
 pub mod traffic;
 
-pub use engine::{Report, ReservationSummary, Simulation, SimulationConfig, WarmSummary};
+pub use engine::{Report, ReservationSummary, Simulation, SimulationConfig};
 pub use metrics::{Metrics, SlotObservation};
 pub use scenario::{
-    duration_model, run_scenario, FallbackReport, PhaseReport, ScenarioReport, ScenarioTraffic,
-    WindowStats,
+    apply_disruption, duration_model, run_scenario, PlanFabric, PlanWindows, ScenarioDriver,
+    ScenarioReport, ScenarioSummary, ScenarioTraffic, WindowStats,
 };
 pub use trace::{
     ReplayError, ReplayReport, SessionTrace, TraceConfig, TraceGrant, TraceRequest, TraceSlot,

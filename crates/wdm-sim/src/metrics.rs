@@ -103,12 +103,7 @@ impl Metrics {
     /// Probability a schedulable request is lost to output contention:
     /// `contention_losses / (offered − source_busy)`.
     pub fn loss_probability(&self) -> f64 {
-        let schedulable = self.offered - self.source_busy;
-        if schedulable == 0 {
-            0.0
-        } else {
-            self.contention_losses as f64 / schedulable as f64
-        }
+        contention_loss(self.contention_losses, self.offered, self.source_busy)
     }
 
     /// Mean fraction of the `n·k` output channels carrying a connection.
@@ -141,6 +136,18 @@ impl Metrics {
         // t ≈ 2.09 for 19 degrees of freedom; 1.96 asymptotically. Use 2.1
         // as a conservative constant for the default batch count.
         Some(2.1 * (var / means.len() as f64).sqrt())
+    }
+}
+
+/// The one loss definition every report uses: the share of schedulable
+/// requests (offered, less those whose source channel was busy) lost to
+/// output contention.
+pub(crate) fn contention_loss(contention_losses: u64, offered: u64, source_busy: u64) -> f64 {
+    let schedulable = offered - source_busy;
+    if schedulable == 0 {
+        0.0
+    } else {
+        contention_losses as f64 / schedulable as f64
     }
 }
 

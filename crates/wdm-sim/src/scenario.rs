@@ -2,7 +2,8 @@
 //! end to end — phased workload, mid-run disruptions, degraded-mode policy
 //! fallback — with per-phase and before/during/after-disruption breakdowns.
 //!
-//! Two pieces:
+//! Every consumer of a plan goes through this module, so what a plan does
+//! to the fabric and how its slots are counted is decided once:
 //!
 //! * [`ScenarioTraffic`] — a [`TrafficModel`] reading the plan's per-slot
 //!   tables. For a constant-rate, uniform-destination, non-bursty plan its
@@ -10,22 +11,29 @@
 //!   [`BernoulliUniform`](crate::traffic::BernoulliUniform) at the same
 //!   seed (verified by `tests/scenario_differential.rs`), so scenarios are
 //!   a strict superset of the legacy workloads, not a parallel universe.
-//! * [`run_scenario`] — the slot loop: applies the plan's disruption
-//!   timeline to the live [`Interconnect`] (capacity shrink/restore,
-//!   outage/rejoin) exactly at their slots, steps the fallback controller,
-//!   and tallies each measured slot into its phase and disruption window.
+//! * [`ScenarioDriver`] — the one driver: fires every planned event due
+//!   at the current slot through [`apply_disruption`], takes one fallback
+//!   step, and keeps the run's [`ScenarioSummary`]. The offline
+//!   [`Simulation`] and the daemon's coordinator both step it once per
+//!   slot, before the slot is scheduled.
+//! * [`PlanWindows`] — the one recorder: attributes each measured slot to
+//!   its phase and to the before/during/after-disruption window, as
+//!   [`WindowStats`]. The simulator and the load generator both fill it.
+//! * [`run_scenario`] — builds a [`Simulation`] with the plan attached
+//!   ([`Simulation::with_plan`]) and assembles the report; the slot loop
+//!   is the simulator's own.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use serde::Serialize;
-use wdm_core::Error;
-use wdm_interconnect::{ConnectionRequest, Interconnect, InterconnectConfig, SlotResult};
-use wdm_scenario::{CompiledPlan, DisruptionChange, DurationSpec};
+use rand::Rng;
+use serde::{Deserialize, Serialize};
+use wdm_core::{Error, Policy, WarmStats};
+use wdm_interconnect::{ConnectionRequest, DisruptionImpact, Interconnect, InterconnectConfig};
+use wdm_scenario::{CompiledPlan, DisruptionChange, DisruptionEvent, DurationSpec};
 
-use crate::engine::WarmSummary;
-use crate::metrics::{Metrics, SlotObservation};
+use crate::engine::{Simulation, SimulationConfig};
+use crate::metrics::{contention_loss, Metrics, SlotObservation};
 use crate::traffic::{DurationModel, TrafficModel};
 
 /// Converts a plan's declarative holding-time spec into the simulator's
@@ -141,10 +149,148 @@ impl TrafficModel for ScenarioTraffic {
     }
 }
 
-/// Per-slot tallies aggregated over one contiguous or scattered slot set
-/// (a phase, or a disruption window).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+/// Applies one planned disruption event to the fabric, before the slot it
+/// names is scheduled: a converter failure shrinks the fiber's conversion
+/// scheme, recovery restores the baseline, an outage takes the fiber dark,
+/// and rejoin brings it back cold. The only place a plan's events reach an
+/// [`Interconnect`].
+pub fn apply_disruption(
+    interconnect: &mut Interconnect,
+    event: &DisruptionEvent,
+) -> Result<DisruptionImpact, Error> {
+    match event.change {
+        DisruptionChange::ConverterFailure { conversion, .. } => {
+            interconnect.shrink_conversion(event.fiber, conversion)
+        }
+        DisruptionChange::ConverterRecovery => interconnect.restore_conversion(event.fiber),
+        DisruptionChange::Outage => interconnect.fail_fiber(event.fiber),
+        DisruptionChange::Rejoin => interconnect.rejoin_fiber(event.fiber),
+    }
+}
+
+/// What a [`ScenarioDriver`] acts on: the offline [`Interconnect`], or the
+/// daemon's engine (which also answers the clients an outage strands).
+pub trait PlanFabric {
+    /// Applies one disruption event (see [`apply_disruption`]).
+    fn disrupt(&mut self, event: &DisruptionEvent) -> Result<DisruptionImpact, Error>;
+    /// Switches every fiber to `policy` (the fallback's engage/revert).
+    fn set_policy_all(&mut self, policy: Policy) -> Result<(), Error>;
+}
+
+impl PlanFabric for Interconnect {
+    fn disrupt(&mut self, event: &DisruptionEvent) -> Result<DisruptionImpact, Error> {
+        apply_disruption(self, event)
+    }
+
+    fn set_policy_all(&mut self, policy: Policy) -> Result<(), Error> {
+        Interconnect::set_policy_all(self, policy)
+    }
+}
+
+/// What a [`ScenarioDriver`] did over a run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ScenarioSummary {
+    /// Disruption events applied (strike and recovery edges both count).
+    pub events_applied: u64,
+    /// In-flight connections dropped by converter failures and outages.
+    pub dropped_connections: u64,
+    /// Pending reservations cancelled by outages.
+    pub cancelled_reservations: u64,
+    /// Times the fallback controller engaged the degraded policy.
+    pub fallback_engagements: u64,
+    /// Times it reverted to the baseline policy.
+    pub fallback_reverts: u64,
+    /// Slots run with the fallback policy in force (warmup included).
+    pub engaged_slots: u64,
+}
+
+/// Steps one [`CompiledPlan`] against a fabric: a cursor over the plan's
+/// slot-sorted disruption events plus the fallback controller's
+/// engaged/baseline state.
+#[derive(Debug, Clone)]
+pub struct ScenarioDriver {
+    plan: Arc<CompiledPlan>,
+    base_policy: Policy,
+    cursor: usize,
+    engaged: bool,
+    summary: ScenarioSummary,
+}
+
+impl ScenarioDriver {
+    /// A driver at the start of `plan`; the fallback reverts to
+    /// `base_policy`, the policy the fabric was built with.
+    pub fn new(plan: Arc<CompiledPlan>, base_policy: Policy) -> ScenarioDriver {
+        ScenarioDriver {
+            plan,
+            base_policy,
+            cursor: 0,
+            engaged: false,
+            summary: ScenarioSummary::default(),
+        }
+    }
+
+    /// The plan being driven.
+    pub fn plan(&self) -> &CompiledPlan {
+        &self.plan
+    }
+
+    /// What the driver has done so far.
+    pub fn summary(&self) -> ScenarioSummary {
+        self.summary
+    }
+
+    /// Whether the fallback policy is in force.
+    pub fn engaged(&self) -> bool {
+        self.engaged
+    }
+
+    /// Applies everything the plan schedules at (or before) `slot`: every
+    /// pending disruption event, then one fallback decision. Call exactly
+    /// once per executed slot, before the slot is scheduled. `lag_slots`
+    /// feeds the fallback's lag trigger (the simulator is its own clock and
+    /// passes 0).
+    pub fn before_slot<F: PlanFabric>(
+        &mut self,
+        fabric: &mut F,
+        slot: u64,
+        lag_slots: u64,
+    ) -> Result<(), Error> {
+        while let Some(&event) = self.plan.events().get(self.cursor) {
+            if event.slot > slot {
+                break;
+            }
+            self.cursor += 1;
+            let impact = fabric.disrupt(&event)?;
+            self.summary.events_applied += 1;
+            self.summary.dropped_connections += impact.dropped_connections as u64;
+            self.summary.cancelled_reservations += impact.cancelled_reservations as u64;
+        }
+        if let Some(rule) = self.plan.fallback() {
+            let load = self.plan.offered_load(slot);
+            let want = rule.decide(self.engaged, load, self.plan.is_disrupted(slot), lag_slots);
+            if want != self.engaged {
+                fabric.set_policy_all(if want { rule.policy } else { self.base_policy })?;
+                self.engaged = want;
+                if want {
+                    self.summary.fallback_engagements += 1;
+                } else {
+                    self.summary.fallback_reverts += 1;
+                }
+            }
+        }
+        if self.engaged {
+            self.summary.engaged_slots += 1;
+        }
+        Ok(())
+    }
+}
+
+/// Tallies over one window of measured plan slots: a phase, or the slots
+/// before, during or after the plan's disruptions.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WindowStats {
+    /// The phase name, or `before`/`during`/`after`.
+    pub name: String,
     /// Measured slots in the window.
     pub slots: u64,
     /// Requests offered.
@@ -158,51 +304,70 @@ pub struct WindowStats {
 }
 
 impl WindowStats {
-    fn record(&mut self, result: &SlotResult) {
+    fn named(name: &str) -> WindowStats {
+        WindowStats { name: name.to_owned(), ..WindowStats::default() }
+    }
+
+    fn record(&mut self, slot: &SlotObservation) {
         self.slots += 1;
-        self.offered += result.offered() as u64;
-        self.granted += result.grants.len() as u64;
-        self.contention_losses += result.contention_losses() as u64;
-        self.source_busy += result.source_busy_losses() as u64;
+        self.offered += slot.offered as u64;
+        self.granted += slot.granted as u64;
+        self.contention_losses += slot.contention_losses as u64;
+        self.source_busy += slot.source_busy as u64;
     }
 
-    /// Loss probability over the window's offered requests.
+    /// Loss probability, defined as for the whole run
+    /// ([`Metrics::loss_probability`]).
     pub fn loss_probability(&self) -> f64 {
-        if self.offered == 0 {
-            0.0
-        } else {
-            self.contention_losses as f64 / self.offered as f64
-        }
-    }
-
-    /// Granted requests per slot.
-    pub fn throughput_per_slot(&self) -> f64 {
-        if self.slots == 0 {
-            0.0
-        } else {
-            self.granted as f64 / self.slots as f64
-        }
+        contention_loss(self.contention_losses, self.offered, self.source_busy)
     }
 }
 
-/// One phase's measured tallies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct PhaseReport {
-    /// Phase name from the scenario file.
-    pub name: String,
-    /// Its tallies over measured slots.
-    pub stats: WindowStats,
+/// A plan's measured slots, split two ways: by phase, and into the slots
+/// before the first disruption strikes, with at least one disruption
+/// active, and after the first strike with none active.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct PlanWindows {
+    /// One window per phase, in timeline order.
+    pub phases: Vec<WindowStats>,
+    /// Measured slots before the first disruption strikes.
+    pub before: WindowStats,
+    /// Measured slots with at least one disruption active.
+    pub during: WindowStats,
+    /// Measured slots after the first strike with no disruption active.
+    pub after: WindowStats,
 }
 
-/// What the degraded-mode fallback controller did over the run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct FallbackReport {
-    /// Times the fallback policy engaged.
-    pub engagements: u64,
-    /// Times it reverted to the baseline policy.
-    pub reverts: u64,
-    /// Slots run under the fallback policy (warmup included).
-    pub engaged_slots: u64,
+impl PlanWindows {
+    /// Empty windows for every phase of `plan`.
+    pub fn for_plan(plan: &CompiledPlan) -> PlanWindows {
+        PlanWindows {
+            phases: plan.phases().iter().map(|p| WindowStats::named(&p.name)).collect(),
+            before: WindowStats::named("before"),
+            during: WindowStats::named("during"),
+            after: WindowStats::named("after"),
+        }
+    }
+
+    /// Attributes one slot's observation to its phase and disruption
+    /// window. Warmup slots (`slot < plan.warmup()`) are not measured and
+    /// count nowhere.
+    pub fn record(&mut self, plan: &CompiledPlan, slot: u64, observed: &SlotObservation) {
+        if slot < plan.warmup() {
+            return;
+        }
+        if let Some(phase) = self.phases.get_mut(plan.phase_index(slot)) {
+            phase.record(observed);
+        }
+        let window = if plan.is_disrupted(slot) {
+            &mut self.during
+        } else if plan.events().first().is_none_or(|e| slot < e.slot) {
+            &mut self.before
+        } else {
+            &mut self.after
+        };
+        window.record(observed);
+    }
 }
 
 /// The result of a scenario run.
@@ -222,21 +387,11 @@ pub struct ScenarioReport {
     /// Whole-run measured metrics (batch means, utilization, …).
     pub metrics: Metrics,
     /// Warm-start scheduling outcomes over the whole run.
-    pub warm: WarmSummary,
-    /// Per-phase breakdown, in timeline order.
-    pub phases: Vec<PhaseReport>,
-    /// Measured slots before the first disruption strikes.
-    pub before: WindowStats,
-    /// Measured slots with at least one disruption active.
-    pub during: WindowStats,
-    /// Measured slots after the first strike with no disruption active.
-    pub after: WindowStats,
-    /// Live connections dropped by disruption events.
-    pub dropped_connections: u64,
-    /// Pending reservations cancelled by fiber outages.
-    pub cancelled_reservations: u64,
-    /// Degraded-mode fallback activity.
-    pub fallback: FallbackReport,
+    pub warm: WarmStats,
+    /// Per-phase and per-disruption-window breakdown.
+    pub windows: PlanWindows,
+    /// What the plan's timeline and fallback did to the fabric.
+    pub summary: ScenarioSummary,
 }
 
 impl ScenarioReport {
@@ -255,119 +410,27 @@ impl ScenarioReport {
 /// plan is bit-identical.
 pub fn run_scenario(plan: &CompiledPlan) -> Result<ScenarioReport, Error> {
     let plan = Arc::new(plan.clone());
-    let config = InterconnectConfig::packet_switch(plan.n(), plan.conversion())
+    let interconnect = InterconnectConfig::packet_switch(plan.n(), plan.conversion())
         .with_policy(plan.policy())
         .with_threads(plan.threads());
-    let mut interconnect = Interconnect::new(config)?;
-    let mut traffic = ScenarioTraffic::new(Arc::clone(&plan));
-    let mut rng = StdRng::seed_from_u64(plan.seed());
-
-    let mut metrics = Metrics::new();
-    let mut phases: Vec<PhaseReport> = plan
-        .phases()
-        .iter()
-        .map(|p| PhaseReport { name: p.name.clone(), stats: WindowStats::default() })
-        .collect();
-    let (mut before, mut during, mut after) =
-        (WindowStats::default(), WindowStats::default(), WindowStats::default());
-    let mut fallback = FallbackReport::default();
-    let (mut dropped, mut cancelled) = (0u64, 0u64);
-
-    let events = plan.events();
-    let first_strike = events.first().map(|e| e.slot);
-    let mut cursor = 0usize;
-    let mut engaged = false;
-
-    let warmup = plan.warmup();
-    let total = plan.total_slots();
-    // One request buffer and one result for the whole run, as in the
-    // plain engine: the steady-state slot loop allocates nothing.
-    let mut requests = Vec::new();
-    let mut result = SlotResult::default();
-
-    for slot in 0..total {
-        // 1. Disruption timeline: every event planned for this slot lands
-        //    before the slot is scheduled.
-        while cursor < events.len() && events[cursor].slot == slot {
-            let event = events[cursor];
-            cursor += 1;
-            let impact = match event.change {
-                DisruptionChange::ConverterFailure { conversion, .. } => {
-                    interconnect.shrink_conversion(event.fiber, conversion)?
-                }
-                DisruptionChange::ConverterRecovery => {
-                    interconnect.restore_conversion(event.fiber)?
-                }
-                DisruptionChange::Outage => interconnect.fail_fiber(event.fiber)?,
-                DisruptionChange::Rejoin => interconnect.rejoin_fiber(event.fiber)?,
-            };
-            dropped += impact.dropped_connections as u64;
-            cancelled += impact.cancelled_reservations as u64;
-        }
-
-        // 2. Degraded-mode controller (sim side: no slot lag, the loop is
-        //    the clock).
-        if let Some(rule) = plan.fallback() {
-            let next = rule.decide(engaged, plan.offered_load(slot), plan.is_disrupted(slot), 0);
-            if next != engaged {
-                let policy = if next { rule.policy } else { plan.policy() };
-                interconnect.set_policy_all(policy)?;
-                if next {
-                    fallback.engagements += 1;
-                } else {
-                    fallback.reverts += 1;
-                }
-                engaged = next;
-            }
-            if engaged {
-                fallback.engaged_slots += 1;
-            }
-        }
-
-        // 3. The slot itself.
-        traffic.generate_into(&mut rng, slot, &mut requests);
-        interconnect.advance_slot_into(&requests, &mut result)?;
-
-        // 4. Measurement.
-        if slot >= warmup {
-            metrics.record_slot(SlotObservation {
-                offered: result.offered(),
-                granted: result.grants.len(),
-                contention_losses: result.contention_losses(),
-                source_busy: result.source_busy_losses(),
-                completed: result.completed,
-                rearranged: result.rearranged,
-                active_now: interconnect.active_connections(),
-            });
-            if let Some(phase) = phases.get_mut(plan.phase_index(slot)) {
-                phase.stats.record(&result);
-            }
-            let window = if plan.is_disrupted(slot) {
-                &mut during
-            } else if first_strike.is_none_or(|f| slot < f) {
-                &mut before
-            } else {
-                &mut after
-            };
-            window.record(&result);
-        }
-    }
-
+    let config = SimulationConfig {
+        warmup_slots: plan.warmup(),
+        measure_slots: plan.measured_slots(),
+        seed: plan.seed(),
+    };
+    let report = Simulation::new(interconnect, ScenarioTraffic::new(Arc::clone(&plan)), config)?
+        .with_plan(Arc::clone(&plan))
+        .run()?;
     Ok(ScenarioReport {
         name: plan.name().to_owned(),
         n: plan.n(),
         k: plan.k(),
         degree: plan.conversion().degree(),
         seed: plan.seed(),
-        metrics,
-        warm: interconnect.warm_stats().into(),
-        phases,
-        before,
-        during,
-        after,
-        dropped_connections: dropped,
-        cancelled_reservations: cancelled,
-        fallback,
+        metrics: report.metrics,
+        warm: report.warm,
+        windows: report.windows,
+        summary: report.scenario,
     })
 }
 
@@ -404,16 +467,29 @@ duration = { model = "deterministic", slots = 1 }
     #[test]
     fn steady_scenario_reports_one_phase_all_before() {
         let report = run_scenario(&plan(BASE)).unwrap();
-        assert_eq!(report.phases.len(), 1);
-        assert_eq!(report.phases[0].name, "steady");
-        assert_eq!(report.phases[0].stats.slots, 300);
-        assert_eq!(report.before.slots, 300);
-        assert_eq!(report.during.slots + report.after.slots, 0);
-        assert_eq!(report.dropped_connections + report.cancelled_reservations, 0);
-        assert_eq!(report.fallback, FallbackReport::default());
+        let w = &report.windows;
+        assert_eq!(w.phases.len(), 1);
+        assert_eq!(w.phases[0].name, "steady");
+        assert_eq!(w.phases[0].slots, 300);
+        assert_eq!(w.before.slots, 300);
+        assert_eq!(w.during.slots + w.after.slots, 0);
+        assert_eq!(report.summary, ScenarioSummary::default());
         assert!(report.metrics.granted() > 0);
         // The windows partition the measured slots exactly.
-        assert_eq!(report.before.offered, report.metrics.offered() as u64);
+        assert_eq!(w.before.offered, report.metrics.offered());
+    }
+
+    #[test]
+    fn single_phase_window_loss_is_the_headline_loss() {
+        // Multi-slot holds make source-busy suppression common, which is
+        // exactly where a per-offered and a per-schedulable loss differ.
+        let doc = BASE.replacen("slots = 1 }", "slots = 4 }", 1);
+        let report = run_scenario(&plan(&doc)).unwrap();
+        let steady = &report.windows.phases[0];
+        assert!(steady.source_busy > 0, "holds must suppress some requests");
+        assert_eq!(steady.slots, report.metrics.slots());
+        assert_eq!(steady.loss_probability(), report.metrics.loss_probability());
+        assert_eq!(report.windows.before.loss_probability(), report.metrics.loss_probability());
     }
 
     #[test]
@@ -427,16 +503,16 @@ kind = \"outage\"
 until = 200
 "
         );
-        let report = run_scenario(&plan(&doc)).unwrap();
-        assert_eq!(report.before.slots, 100, "measured slots 20..120");
-        assert_eq!(report.during.slots, 80, "slots 120..200");
-        assert_eq!(report.after.slots, 120, "slots 200..320");
+        let w = run_scenario(&plan(&doc)).unwrap().windows;
+        assert_eq!(w.before.slots, 100, "measured slots 20..120");
+        assert_eq!(w.during.slots, 80, "slots 120..200");
+        assert_eq!(w.after.slots, 120, "slots 200..320");
         // The dark output fiber shifts losses up while it is out.
-        assert!(report.during.loss_probability() > report.before.loss_probability());
+        assert!(w.during.loss_probability() > w.before.loss_probability());
         // Cell traffic can't drop connections on a deterministic-1 workload
         // unless the outage caught some active hold; with 1-slot packets
         // the drop count is whatever was in flight at the strike slot.
-        assert!(report.during.offered > 0);
+        assert!(w.during.offered > 0);
     }
 
     #[test]
@@ -467,12 +543,14 @@ revert_margin = 0.05
             1,
         );
         let report = run_scenario(&plan(&doc)).unwrap();
-        assert_eq!(report.fallback.engagements, 1, "{:?}", report.fallback);
-        assert_eq!(report.fallback.reverts, 1);
+        let s = report.summary;
+        assert_eq!(s.fallback_engagements, 1, "{s:?}");
+        assert_eq!(s.fallback_reverts, 1);
         // Engaged exactly during the rush phase (slots 100..200).
-        assert_eq!(report.fallback.engaged_slots, 100);
-        assert_eq!(report.phases.len(), 3);
-        assert!(report.phases[1].stats.offered > report.phases[0].stats.offered);
+        assert_eq!(s.engaged_slots, 100);
+        let phases = &report.windows.phases;
+        assert_eq!(phases.len(), 3);
+        assert!(phases[1].offered > phases[0].offered);
     }
 
     #[test]
@@ -492,11 +570,8 @@ until = 150
         let b = run_scenario(&p).unwrap();
         assert_eq!(a.metrics.granted(), b.metrics.granted());
         assert_eq!(a.metrics.offered(), b.metrics.offered());
-        assert_eq!(a.phases, b.phases);
-        assert_eq!(a.before, b.before);
-        assert_eq!(a.during, b.during);
-        assert_eq!(a.after, b.after);
-        assert_eq!(a.dropped_connections, b.dropped_connections);
+        assert_eq!(a.windows, b.windows);
+        assert_eq!(a.summary, b.summary);
     }
 
     #[test]
@@ -523,8 +598,8 @@ rate = 3.0
                 1,
             );
         let report = run_scenario(&plan(&doc)).unwrap();
-        let low = &report.phases[0].stats;
-        let high = &report.phases[1].stats;
+        let low = &report.windows.phases[0];
+        let high = &report.windows.phases[1];
         assert!(
             high.offered > low.offered,
             "3x burst-birth rate must offer more: {high:?} vs {low:?}"

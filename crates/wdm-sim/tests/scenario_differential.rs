@@ -19,8 +19,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 use wdm_interconnect::{ConnectionRequest, Interconnect, InterconnectConfig};
-use wdm_scenario::{load_plan, CompiledPlan, DisruptionChange};
-use wdm_sim::scenario::{run_scenario, ScenarioTraffic};
+use wdm_scenario::{load_plan, CompiledPlan};
+use wdm_sim::scenario::{run_scenario, ScenarioDriver, ScenarioTraffic};
 use wdm_sim::traffic::{BernoulliUniform, BurstyOnOff, DurationModel, Hotspot, TrafficModel};
 
 const N: usize = 4;
@@ -103,8 +103,9 @@ fn phase_rates_change_the_stream_only_inside_their_phase() {
     );
 }
 
-/// Replays a plan's disruption timeline against a live interconnect,
-/// checking the state transitions at exactly the planned slots.
+/// Steps a plan's disruption timeline against a live interconnect through
+/// the shared driver, checking the state transitions at exactly the
+/// planned slots.
 #[test]
 fn converter_failure_shrinks_effective_degree_exactly_at_its_slot() {
     let doc = format!(
@@ -117,60 +118,25 @@ degree = 1
 until = 250
 "
     );
-    let p = plan(&doc);
+    let p = Arc::new(plan(&doc));
     let config = InterconnectConfig::packet_switch(p.n(), p.conversion());
     let mut interconnect = Interconnect::new(config).unwrap();
-    let mut traffic = ScenarioTraffic::new(Arc::new(p.clone()));
+    let mut driver = ScenarioDriver::new(Arc::clone(&p), p.policy());
+    let mut traffic = ScenarioTraffic::new(Arc::clone(&p));
     let mut rng = StdRng::seed_from_u64(p.seed());
-    let events = p.events();
-    let mut cursor = 0usize;
     let mut requests = Vec::new();
     let mut result = wdm_interconnect::SlotResult::default();
-    let mut dropped_at_strike = 0usize;
     for slot in 0..p.total_slots() {
-        // Before applying this slot's events the fiber still runs the
-        // scheme of the previous slot.
-        let degree_before = interconnect.fiber_conversion(1).unwrap().degree();
-        match slot {
-            0..=99 => assert_eq!(degree_before, 3, "baseline until the strike"),
-            100..=249 => {
-                if slot > 100 {
-                    assert_eq!(degree_before, 1, "degraded from slot 100");
-                }
-            }
-            _ => {
-                if slot > 250 {
-                    assert_eq!(degree_before, 3, "restored from slot 250");
-                }
-            }
-        }
-        while cursor < events.len() && events[cursor].slot == slot {
-            let event = events[cursor];
-            cursor += 1;
-            let impact = match event.change {
-                DisruptionChange::ConverterFailure { conversion, .. } => {
-                    interconnect.shrink_conversion(event.fiber, conversion).unwrap()
-                }
-                DisruptionChange::ConverterRecovery => {
-                    interconnect.restore_conversion(event.fiber).unwrap()
-                }
-                DisruptionChange::Outage => interconnect.fail_fiber(event.fiber).unwrap(),
-                DisruptionChange::Rejoin => interconnect.rejoin_fiber(event.fiber).unwrap(),
-            };
-            if slot == 100 {
-                dropped_at_strike = impact.dropped_connections;
-                // Multi-slot geometric holds at load 0.6: the strike must
-                // catch off-diagonal in-flight connections, and they are
-                // dropped, never silently kept on a now-infeasible channel.
-                assert!(impact.dropped_connections > 0, "strike caught no active holds");
-            }
-            // The change is visible the moment it applies.
-            let expected = match event.change {
-                DisruptionChange::ConverterFailure { degree, .. } => degree,
-                _ => 3,
-            };
-            assert_eq!(interconnect.fiber_conversion(event.fiber).unwrap().degree(), expected);
-        }
+        driver.before_slot(&mut interconnect, slot, 0).unwrap();
+        // The shrunk scheme is in force from the strike slot up to the
+        // recovery slot, and at no other slot.
+        let degree = if (100..250).contains(&slot) { 1 } else { 3 };
+        assert_eq!(interconnect.fiber_conversion(1).unwrap().degree(), degree, "slot {slot}");
+        // Multi-slot geometric holds at load 0.6: the strike must catch
+        // off-diagonal in-flight connections, and they are dropped, never
+        // silently kept on a now-infeasible channel.
+        let dropped = driver.summary().dropped_connections;
+        assert_eq!(dropped > 0, slot >= 100, "slot {slot}: {dropped} dropped");
         traffic.generate_into(&mut rng, slot, &mut requests);
         interconnect.advance_slot_into(&requests, &mut result).unwrap();
         // Invariant the shrink must uphold every slot: no active
@@ -178,8 +144,7 @@ until = 250
         // cannot perform (checked implicitly by advance_slot_into's debug
         // asserts; the drop count above proves the strike pruned).
     }
-    assert_eq!(cursor, events.len(), "both events consumed");
-    assert!(dropped_at_strike > 0);
+    assert_eq!(driver.summary().events_applied, 2, "both events consumed");
 }
 
 #[test]
@@ -194,22 +159,22 @@ until = 60
 "
     );
     let p = plan(&doc);
-    let report = run_scenario(&p).unwrap();
-    assert_eq!(report.during.slots, 10);
+    let w = run_scenario(&p).unwrap().windows;
+    assert_eq!(w.during.slots, 10);
     // While fiber 0 is dark, every request destined there is lost, so the
     // during-window loss rate must sit well above the steady baseline.
     assert!(
-        report.during.loss_probability() > report.before.loss_probability(),
+        w.during.loss_probability() > w.before.loss_probability(),
         "during {:.4} vs before {:.4}",
-        report.during.loss_probability(),
-        report.before.loss_probability()
+        w.during.loss_probability(),
+        w.before.loss_probability()
     );
     // After rejoin the loss rate comes back down to the baseline ballpark.
     assert!(
-        (report.after.loss_probability() - report.before.loss_probability()).abs() < 0.05,
+        (w.after.loss_probability() - w.before.loss_probability()).abs() < 0.05,
         "after {:.4} vs before {:.4}",
-        report.after.loss_probability(),
-        report.before.loss_probability()
+        w.after.loss_probability(),
+        w.before.loss_probability()
     );
 }
 
@@ -251,7 +216,10 @@ on_disruption = true
     let b = run_scenario(&p).unwrap();
     let to_json = |r: &wdm_sim::scenario::ScenarioReport| serde_json::to_string(r).unwrap();
     assert_eq!(to_json(&a), to_json(&b), "same plan, same bits");
-    assert!(a.dropped_connections > 0 || a.cancelled_reservations > 0 || a.during.slots > 0);
-    assert!(a.fallback.engagements >= 1, "on_disruption fallback must engage");
-    assert_eq!(a.fallback.engagements, a.fallback.reverts, "every engagement reverts");
+    let s = a.summary;
+    assert!(
+        s.dropped_connections > 0 || s.cancelled_reservations > 0 || a.windows.during.slots > 0
+    );
+    assert!(s.fallback_engagements >= 1, "on_disruption fallback must engage");
+    assert_eq!(s.fallback_engagements, s.fallback_reverts, "every engagement reverts");
 }

@@ -16,7 +16,7 @@
 //! builds, which is where the hot path runs. Findings the graph cannot see
 //! around are suppressed per function with
 //! `#[allow_reach(hot_path, reason = "…")]` — audited, see
-//! [`super::audit_suppressions`].
+//! `audit_suppressions` in `lints/mod.rs`.
 
 use std::collections::HashSet;
 
